@@ -19,13 +19,11 @@ use crate::db::SeqDatabase;
 use crate::planner::{plan_lane_groups_fitting, LanePlan};
 use crate::scheduler::{run_jobs, SchedulerConfig};
 use crate::topk::{Hit, TopK};
-use genomedsm_core::linear::{sw_score_linear, LinearSwResult};
+use genomedsm_core::linear::LinearSwResult;
 use genomedsm_core::scoring::Scoring;
 use genomedsm_core::submat::MatrixScoring;
-use genomedsm_core::sw_score_profile;
 use genomedsm_kernels::{
-    effective_lanes, fits_i16_affine_query, fits_i16_query, score_batch, score_batch_packed,
-    score_batch_packed_affine, Isa, KernelChoice, PackedAffineProfile, PackedProfile,
+    effective_lanes, score_batch, score_batch_packed, Isa, KernelChoice, PackedProfile, Scheme,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -161,6 +159,21 @@ impl BatchEngine {
         queries: &[&[u8]],
         mut on_query: impl FnMut(usize, Vec<Hit>),
     ) -> BatchStats {
+        match &self.config.mode {
+            ScoreMode::Dna => self.search_with(&self.config.scoring, db, queries, &mut on_query),
+            ScoreMode::Protein(ms) => self.search_with(ms, db, queries, &mut on_query),
+        }
+    }
+
+    /// [`search_streaming`](Self::search_streaming) under one scoring
+    /// scheme, chosen once by the config's [`ScoreMode`].
+    fn search_with<S: Scheme>(
+        &self,
+        scheme: &S,
+        db: &SeqDatabase,
+        queries: &[&[u8]],
+        on_query: &mut impl FnMut(usize, Vec<Hit>),
+    ) -> BatchStats {
         let cfg = &self.config;
         let mut stats = BatchStats {
             cells: cell_count(db, queries),
@@ -176,14 +189,7 @@ impl BatchEngine {
             return stats;
         }
         let lanes = effective_lanes(cfg.kernel);
-        let plan = match &cfg.mode {
-            ScoreMode::Dna => {
-                plan_lane_groups_fitting(queries, lanes, |len| fits_i16_query(len, &cfg.scoring))
-            }
-            ScoreMode::Protein(ms) => {
-                plan_lane_groups_fitting(queries, lanes, |len| fits_i16_affine_query(len, ms))
-            }
-        };
+        let plan = plan_lane_groups_fitting(queries, lanes, |len| scheme.fits_i16_query(len));
         stats.lane_groups = plan.groups.len();
         stats.scalar_queries = plan.scalar.len();
         stats.padding_rows = plan.padding_rows;
@@ -213,7 +219,7 @@ impl BatchEngine {
         run_jobs(
             jobs,
             &cfg.scheduler,
-            |_, job| exec_job(&job, db, queries, cfg, isa),
+            |_, job| exec_job(&job, db, queries, scheme, cfg.top_k, isa),
             |j, partials: Vec<(usize, TopK)>| {
                 for (q, tk) in partials {
                     best[q].merge(tk);
@@ -287,37 +293,19 @@ fn build_jobs(plan: &LanePlan, records: usize, slab: usize) -> Vec<Job> {
 }
 
 /// Runs one job: profile built once, scored against every slab record.
-fn exec_job(
+fn exec_job<S: Scheme>(
     job: &Job,
     db: &SeqDatabase,
     queries: &[&[u8]],
-    cfg: &BatchConfig,
+    scheme: &S,
+    top_k: usize,
     isa: Isa,
 ) -> Vec<(usize, TopK)> {
-    let mut collectors: Vec<(usize, TopK)> = job
-        .queries
-        .iter()
-        .map(|&q| (q, TopK::new(cfg.top_k)))
-        .collect();
-    match &cfg.mode {
-        ScoreMode::Dna => exec_job_dna(job, db, queries, &cfg.scoring, isa, &mut collectors),
-        ScoreMode::Protein(ms) => exec_job_protein(job, db, queries, ms, isa, &mut collectors),
-    }
-    collectors
-}
-
-/// The linear-gap DNA execution path of one job.
-fn exec_job_dna(
-    job: &Job,
-    db: &SeqDatabase,
-    queries: &[&[u8]],
-    scoring: &Scoring,
-    isa: Isa,
-    collectors: &mut [(usize, TopK)],
-) {
+    let mut collectors: Vec<(usize, TopK)> =
+        job.queries.iter().map(|&q| (q, TopK::new(top_k))).collect();
     let packed_prof = if job.packed {
         let qs: Vec<&[u8]> = job.queries.iter().map(|&q| queries[q]).collect();
-        PackedProfile::new(&qs, scoring, isa)
+        PackedProfile::new(&qs, scheme, isa)
     } else {
         None
     };
@@ -337,50 +325,13 @@ fn exec_job_dna(
             // for planner-admitted groups, but fall back rather than trust).
             for (t, target) in db.slab(job.targets.clone()) {
                 for (lane, &q) in job.queries.iter().enumerate() {
-                    let r = sw_score_linear(queries[q], target, scoring, 0);
+                    let r = scheme.oracle(queries[q], target, 0);
                     offer(&mut collectors[lane].1, t, &r);
                 }
             }
         }
     }
-}
-
-/// The affine-gap protein execution path of one job: same shape as the
-/// DNA path with the Gotoh packed kernel and the scalar Gotoh oracle.
-fn exec_job_protein(
-    job: &Job,
-    db: &SeqDatabase,
-    queries: &[&[u8]],
-    ms: &MatrixScoring,
-    isa: Isa,
-    collectors: &mut [(usize, TopK)],
-) {
-    let packed_prof = if job.packed {
-        let qs: Vec<&[u8]> = job.queries.iter().map(|&q| queries[q]).collect();
-        PackedAffineProfile::new(&qs, ms, isa)
-    } else {
-        None
-    };
-    match packed_prof {
-        Some(mut prof) => {
-            for (t, target) in db.slab(job.targets.clone()) {
-                for (lane, r) in score_batch_packed_affine(&mut prof, target, 0)
-                    .into_iter()
-                    .enumerate()
-                {
-                    offer(&mut collectors[lane].1, t, &r);
-                }
-            }
-        }
-        None => {
-            for (t, target) in db.slab(job.targets.clone()) {
-                for (lane, &q) in job.queries.iter().enumerate() {
-                    let r = sw_score_profile(queries[q], target, ms, 0);
-                    offer(&mut collectors[lane].1, t, &r);
-                }
-            }
-        }
-    }
+    collectors
 }
 
 /// Offers one pair result to a collector (shared with the prefiltered
@@ -448,7 +399,8 @@ pub fn score_pairs(
 }
 
 /// The sequential per-pair reference answer: every query scored against
-/// every record with the scalar oracle [`sw_score_linear`], identical
+/// every record with the scalar oracle
+/// [`sw_score_linear`](genomedsm_core::sw_score_linear), identical
 /// top-k bookkeeping to the engine.
 ///
 /// This is the `--check` oracle of `genomedsm batch` and the reference
@@ -467,7 +419,8 @@ pub fn oracle_search(
 
 /// [`oracle_search`] generalized over the scoring mode: the scalar
 /// per-pair reference for whichever arithmetic the engine ran — linear
-/// [`sw_score_linear`] for DNA, the scalar Gotoh [`sw_score_profile`] for
+/// [`sw_score_linear`](genomedsm_core::sw_score_linear) for DNA, the
+/// scalar Gotoh [`sw_score_profile`](genomedsm_core::sw_score_profile) for
 /// protein. Still deliberately the dumbest possible implementation.
 pub fn oracle_search_mode(
     db: &SeqDatabase,
@@ -482,8 +435,8 @@ pub fn oracle_search_mode(
             let mut tk = TopK::new(top_k);
             for t in 0..db.len() {
                 let r = match mode {
-                    ScoreMode::Dna => sw_score_linear(q, db.seq(t), scoring, 0),
-                    ScoreMode::Protein(ms) => sw_score_profile(q, db.seq(t), ms, 0),
+                    ScoreMode::Dna => scoring.oracle(q, db.seq(t), 0),
+                    ScoreMode::Protein(ms) => ms.oracle(q, db.seq(t), 0),
                 };
                 offer(&mut tk, t, &r);
             }

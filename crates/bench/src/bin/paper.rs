@@ -66,7 +66,7 @@ use genomedsm_bench::report::Table;
 use genomedsm_bench::{secs, speedup, workloads, HarnessArgs};
 use genomedsm_core::nw::render_region_alignment;
 use genomedsm_core::reverse::{recover_start, reverse_align_all, theoretical_necessary_fraction};
-use genomedsm_core::{HeuristicParams, LocalRegion, Scoring};
+use genomedsm_core::{fnv1a, HeuristicParams, LocalRegion, Scoring, FNV_OFFSET};
 use genomedsm_dotplot::{ascii_plot, svg_plot, PlotSpec};
 use genomedsm_dsm::breakdown_many;
 use genomedsm_strategies::{
@@ -1818,11 +1818,10 @@ fn takeover_sweep(args: &HarnessArgs) {
     >;
     let fingerprint_regions = |regions: &[LocalRegion]| -> u64 {
         // Order-sensitive FNV over the region list: any divergence flips it.
-        let mut h: u64 = 0xcbf29ce484222325;
+        let mut h = FNV_OFFSET;
         for r in regions {
             for v in [r.s_begin, r.t_begin, r.s_end, r.t_end, r.score as usize] {
-                h ^= v as u64;
-                h = h.wrapping_mul(0x100000001b3);
+                h = fnv1a(h, &v.to_le_bytes());
             }
         }
         h
@@ -1883,12 +1882,9 @@ fn takeover_sweep(args: &HarnessArgs) {
                 }
                 let out = preprocess_align(&s, &t, &SC, &config).expect("preprocess");
                 // Fingerprint the scoreboard and the best score together.
-                let mut h: u64 = 0xcbf29ce484222325 ^ out.best_score as u64;
-                for row in &out.result {
-                    for &v in row {
-                        h ^= v as u64;
-                        h = h.wrapping_mul(0x100000001b3);
-                    }
+                let mut h = fnv1a(FNV_OFFSET, &out.best_score.to_le_bytes());
+                for &v in out.result.iter().flatten() {
+                    h = fnv1a(h, &v.to_le_bytes());
                 }
                 (h, agg_of(&out.per_node), out.wall)
             }),

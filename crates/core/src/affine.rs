@@ -8,7 +8,7 @@
 //! `open == extend == gap` it degenerates to the paper's linear model,
 //! which the tests exploit as an oracle.
 
-use crate::alignment::{GlobalAlignment, LocalRegion};
+use crate::alignment::GlobalAlignment;
 use crate::linear::LinearSwResult;
 use crate::scoring::Scoring;
 use crate::submat::MatrixScoring;
@@ -314,38 +314,6 @@ pub fn nw_affine_align(s: &[u8], t: &[u8], scoring: &AffineScoring) -> GlobalAli
     }
 }
 
-/// Best local alignment with affine gaps: full matrix + traceback.
-/// Returns the alignment and region, or `None` when the best score is 0.
-pub fn sw_affine_align(
-    s: &[u8],
-    t: &[u8],
-    scoring: &AffineScoring,
-) -> Option<(GlobalAlignment, LocalRegion)> {
-    scoring.validate();
-    let (best, (ei, ej)) = sw_affine_score(s, t, scoring);
-    if best <= 0 {
-        return None;
-    }
-    // Recover the start with the reverse trick (Observation 6.1 carries
-    // over to affine gaps: reversing both sequences preserves gap runs).
-    let srev: Vec<u8> = s[..ei].iter().rev().copied().collect();
-    let trev: Vec<u8> = t[..ej].iter().rev().copied().collect();
-    let (rbest, (ri, rj)) = sw_affine_score(&srev, &trev, scoring);
-    debug_assert_eq!(rbest, best, "reverse affine score must match");
-    let (i0, j0) = (ei - ri, ej - rj);
-    let alignment = nw_affine_align(&s[i0..ei], &t[j0..ej], scoring);
-    Some((
-        alignment,
-        LocalRegion {
-            s_begin: i0,
-            s_end: ei,
-            t_begin: j0,
-            t_end: ej,
-            score: best,
-        },
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,24 +378,6 @@ mod tests {
         let pt: Vec<u8> = g.aligned_t.iter().copied().filter(|&c| c != b'-').collect();
         assert_eq!(ps, s);
         assert_eq!(pt, t);
-    }
-
-    #[test]
-    fn local_affine_finds_planted_repeat() {
-        let mut s = vec![b'A'; 60];
-        let mut t = vec![b'C'; 60];
-        let core = b"GATTACAGGGATTACAG";
-        s[20..20 + core.len()].copy_from_slice(core);
-        t[30..30 + core.len()].copy_from_slice(core);
-        let (g, region) = sw_affine_align(&s, &t, &AffineScoring::dna()).expect("found");
-        assert_eq!(g.score, core.len() as i32);
-        assert_eq!(region.s_begin, 20);
-        assert_eq!(region.t_begin, 30);
-    }
-
-    #[test]
-    fn local_affine_none_when_nothing_aligns() {
-        assert!(sw_affine_align(b"AAAA", b"CCCC", &AffineScoring::dna()).is_none());
     }
 
     #[test]

@@ -27,8 +27,6 @@
 //!   linear gaps when open == extend), including the scalar
 //!   [`sw_score_affine`]/[`sw_score_profile`] oracles the striped affine
 //!   kernels are bit-checked against.
-//! * [`myers_miller`] — linear-space affine-gap global alignment
-//!   (the Hirschberg idea repaired for gap runs crossing the midline).
 //! * [`submat`] — protein substitution matrices (BLOSUM62/BLOSUM50/PAM250
 //!   baked in, NCBI-format text loadable) and the canonical 24-letter
 //!   amino-acid alphabet.
@@ -44,7 +42,6 @@ pub mod heuristic;
 pub mod hirschberg;
 pub mod linear;
 pub mod matrix;
-pub mod myers_miller;
 pub mod nw;
 pub mod reverse;
 pub mod scoring;
@@ -56,3 +53,18 @@ pub use heuristic::{heuristic_align, HCell, HeuristicParams, RowKernel};
 pub use linear::{sw_score_linear, LinearSwResult};
 pub use scoring::Scoring;
 pub use submat::{aa_index, MatrixError, MatrixScoring, SubstMatrix, AA_ALPHABET, AA_N};
+
+/// Offset basis of 64-bit FNV-1a: the starting state for [`fnv1a`].
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into a running 64-bit FNV-1a state (start from
+/// [`FNV_OFFSET`]). The workspace's one checksum and fingerprint hash:
+/// checkpoint footers, cache keys, and scoring-scheme fingerprints.
+pub fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    for &b in bytes {
+        state ^= u64::from(b);
+        state = state.wrapping_mul(FNV_PRIME);
+    }
+    state
+}

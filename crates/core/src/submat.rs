@@ -20,6 +20,7 @@
 //!   [`crate::affine::AffineScoring`] (a gap run of length `k` costs
 //!   `gap_open + (k-1) * gap_extend`).
 
+use crate::{fnv1a, FNV_OFFSET};
 use std::fmt;
 
 /// The canonical residue alphabet, in NCBI matrix order.
@@ -149,16 +150,10 @@ impl SubstMatrix {
     /// score bytes) — cache keys include it so answers computed under
     /// different matrices can never be confused.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for row in &self.scores {
-            for &v in row {
-                for b in v.to_le_bytes() {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x1000_0000_01b3);
-                }
-            }
-        }
-        h
+        self.scores
+            .iter()
+            .flatten()
+            .fold(FNV_OFFSET, |h, v| fnv1a(h, &v.to_le_bytes()))
     }
 
     /// Parses an NCBI-format matrix: `#` comment lines, a header row of
@@ -334,14 +329,9 @@ impl MatrixScoring {
     /// A stable fingerprint over the matrix contents and both gap
     /// penalties (cache keying).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = self.matrix.fingerprint();
-        for v in [self.gap_open, self.gap_extend] {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        }
-        h
+        [self.gap_open, self.gap_extend]
+            .iter()
+            .fold(self.matrix.fingerprint(), |h, v| fnv1a(h, &v.to_le_bytes()))
     }
 }
 

@@ -8,7 +8,7 @@
 //! per-element max alive across [`advance`](BandScorer::advance) calls and
 //! injects the border values the caller computed for the band above.
 
-use crate::engine::{self, BandChunkOut, StripedState};
+use crate::engine::{self, best_of, hit_gate, BandChunkOut, StripedState};
 use crate::profile::StripedProfile;
 use crate::scalar::Portable;
 use crate::{fits_i16, Isa, KernelChoice};
@@ -18,10 +18,9 @@ use genomedsm_core::scoring::Scoring;
 pub struct BandScorer {
     isa: Isa,
     st: StripedState,
-    prof: StripedProfile,
+    prof: StripedProfile<Scoring>,
     thr_minus_1: Option<i16>,
     save_every: Option<usize>,
-    band_rows: usize,
 }
 
 impl BandScorer {
@@ -43,35 +42,17 @@ impl BandScorer {
         threshold: i32,
         save_every: Option<usize>,
     ) -> Option<Self> {
-        let isa = match choice {
-            KernelChoice::Scalar => return None,
-            KernelChoice::Simd => Isa::best_available(),
-            KernelChoice::Auto => {
-                let best = Isa::best_available();
-                if best == Isa::Portable {
-                    // Striped-on-arrays is slower than the plain scalar loop.
-                    return None;
-                }
-                best
-            }
-        };
+        let isa = choice.isa()?;
         if band_s.is_empty() || !fits_i16(full_dims.0, full_dims.1, scoring) {
             return None;
         }
         let prof = StripedProfile::new(band_s, scoring, isa.lanes());
-        let st = StripedState::new(prof.p, prof.lanes, true);
-        let thr_minus_1 = if threshold > 0 && threshold <= i32::from(i16::MAX) {
-            Some((threshold - 1) as i16)
-        } else {
-            None
-        };
         Some(Self {
             isa,
-            st,
+            st: StripedState::new(&prof),
             prof,
-            thr_minus_1,
+            thr_minus_1: hit_gate(threshold),
             save_every,
-            band_rows: band_s.len(),
         })
     }
 
@@ -156,10 +137,7 @@ impl BandScorer {
 
     /// Best local score seen anywhere in this band so far.
     pub fn best_score(&self) -> i32 {
-        let mut best = 0i32;
-        for q in 0..self.band_rows {
-            best = best.max(i32::from(self.st.vmax[self.prof.index_of(q)]));
-        }
-        best
+        let slots = (0..self.prof.m).map(|q| self.prof.index_of(q));
+        best_of(&self.st.vmax, &self.st.first_j, 0, slots).best_score
     }
 }

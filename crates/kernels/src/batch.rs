@@ -13,31 +13,35 @@
 //! walks the shared target. Because the lanes are *independent
 //! alignments*, there is no inter-lane dependency at all: the vertical
 //! gap chain runs down the rows of one column, which the column loop
-//! computes sequentially anyway. No striping, no lazy-F loop — every
-//! instruction is useful work.
+//! computes sequentially anyway, so `F` is exact on the way down — no
+//! striping, no lazy-F loop, under either gap model. The affine
+//! instantiation only adds the `E` buffer.
 //!
-//! Exactness contract: each lane's result is bit-identical to
-//! [`sw_score_linear`] on that (query, target) pair — same best score,
-//! same row-major-first end-point tie-break, same threshold hit count.
-//! Queries outside the i16 envelope ([`fits_i16_query`]) transparently
-//! fall back to the scalar oracle in [`score_batch`].
+//! Exactness contract: each lane's result is bit-identical to the
+//! scheme's scalar oracle ([`Scheme::oracle`]) on that (query, target)
+//! pair — same best score, same row-major-first end-point tie-break, same
+//! threshold hit count. Queries outside the i16 envelope
+//! ([`Scheme::fits_i16_query`]) transparently fall back to the oracle in
+//! [`score_batch`].
 
-use crate::engine::Engine;
-use crate::profile::NEG_INF;
-use crate::{fits_i16_query, Isa, KernelChoice};
-use genomedsm_core::linear::{sw_score_linear, LinearSwResult};
-use genomedsm_core::scoring::Scoring;
+use crate::engine::{best_of, e_buffer, hit_gate, Engine};
+use crate::profile::{SymbolRows, NEG_INF};
+use crate::scheme::Scheme;
+use crate::{Isa, KernelChoice};
+use genomedsm_core::linear::LinearSwResult;
+use genomedsm_core::submat::MatrixScoring;
 
-/// A batch of up to `lanes` queries packed one-per-lane for a fixed ISA.
+/// A batch of up to `lanes` queries packed one-per-lane for a fixed ISA
+/// under scoring scheme `S`.
 ///
 /// The profile precomputes, for each target symbol `c`, the row-major
 /// vector sequence `prof[c][i * lanes + l] = subst(q_l[i], c)` (the
-/// padding sentinel (`NEG_INF`) where lane `l` is shorter than row `i`),
-/// so the inner loop is one saturating add per row. Rows are built lazily
-/// per observed symbol. A profile is built **once per lane group** and
-/// reused across every database record it is scored against — that
-/// amortization is the batch engine's main launch-overhead win.
-pub struct PackedProfile {
+/// padding sentinel where lane `l` is shorter than row `i`), so the inner
+/// loop is one saturating add per row. Rows are built lazily per observed
+/// symbol. A profile is built **once per lane group** and reused across
+/// every database record it is scored against — that amortization is the
+/// batch engine's main launch-overhead win.
+pub struct PackedProfile<S> {
     isa: Isa,
     /// Vector width in i16 lanes.
     lanes: usize,
@@ -45,57 +49,50 @@ pub struct PackedProfile {
     rows: usize,
     /// Per-lane query lengths (`lens.len()` = number of packed queries).
     lens: Vec<usize>,
-    /// Per-row byte-granularity live-lane mask (2 bits per live lane),
-    /// matching the `movemask_epi8` convention of `Engine::gt_bytes`:
-    /// lane `l` is live at row `i` iff `i < lens[l]`.
+    /// Per-row live-lane mask: lane `l` is live at row `i` iff
+    /// `i < lens[l]`.
     valid: Vec<u64>,
-    /// Lazily built profile rows, one per target symbol.
-    sym_rows: Vec<Option<Box<[i16]>>>,
-    seqs: Vec<Box<[u8]>>,
-    match_score: i16,
-    mismatch: i16,
-    gap: i16,
+    /// `(open, extend)` gap penalties as positive i16 values.
+    gaps: (i16, i16),
+    sym: SymbolRows<S>,
 }
 
-impl PackedProfile {
+/// The affine-gap (protein) lane-packed profile.
+pub type PackedAffineProfile = PackedProfile<MatrixScoring>;
+
+impl<S: Scheme> PackedProfile<S> {
     /// Packs `queries` (at most `isa.lanes()` of them) for `isa`.
     ///
     /// Returns `None` when the pack is not exactly representable: the ISA
     /// is unavailable on this CPU, too many queries, or the scoring
-    /// scheme / a query length fails [`fits_i16_query`]. Callers that
-    /// need a never-fails path use [`score_batch`], which routes
+    /// scheme / a query length fails [`Scheme::fits_i16_query`]. Callers
+    /// that need a never-fails path use [`score_batch`], which routes
     /// rejected queries to the scalar oracle instead.
-    pub fn new(queries: &[&[u8]], scoring: &Scoring, isa: Isa) -> Option<Self> {
+    pub fn new(queries: &[&[u8]], scoring: &S, isa: Isa) -> Option<Self> {
         if !isa.available() || queries.len() > isa.lanes() {
             return None;
         }
-        if queries.iter().any(|q| !fits_i16_query(q.len(), scoring)) {
+        if queries.iter().any(|q| !scoring.fits_i16_query(q.len())) {
             return None;
         }
         let lanes = isa.lanes();
         let lens: Vec<usize> = queries.iter().map(|q| q.len()).collect();
         let rows = lens.iter().copied().max().unwrap_or(0);
-        let mut valid = Vec::with_capacity(rows);
-        for i in 0..rows {
-            let mut mask = 0u64;
-            for (l, &len) in lens.iter().enumerate() {
-                if i < len {
-                    mask |= 0b11 << (2 * l);
-                }
+        let mut slots = vec![None; rows * lanes];
+        for (l, q) in queries.iter().enumerate() {
+            for (i, &c) in q.iter().enumerate() {
+                slots[i * lanes + l] = Some(c);
             }
-            valid.push(mask);
         }
+        let sym = SymbolRows::new(scoring, slots.into_boxed_slice());
         Some(Self {
             isa,
             lanes,
             rows,
             lens,
-            valid,
-            sym_rows: vec![None; 256],
-            seqs: queries.iter().map(|&q| q.into()).collect(),
-            match_score: scoring.matches as i16,
-            mismatch: scoring.mismatch as i16,
-            gap: (-scoring.gap) as i16,
+            valid: sym.live_masks(lanes),
+            gaps: scoring.gap_penalties(),
+            sym,
         })
     }
 
@@ -108,69 +105,54 @@ impl PackedProfile {
     pub fn isa(&self) -> Isa {
         self.isa
     }
-
-    /// The profile row for target symbol `c` (`rows * lanes` values).
-    fn row(&mut self, c: u8) -> &[i16] {
-        let slot = &mut self.sym_rows[c as usize];
-        if slot.is_none() {
-            let mut row = vec![NEG_INF; self.rows * self.lanes];
-            for (l, q) in self.seqs.iter().enumerate() {
-                for (i, &qc) in q.iter().enumerate() {
-                    row[i * self.lanes + l] = if qc == c {
-                        self.match_score
-                    } else {
-                        self.mismatch
-                    };
-                }
-            }
-            *slot = Some(row.into_boxed_slice());
-        }
-        slot.as_deref().unwrap()
-    }
 }
 
-/// Mutable per-scan state: two column buffers plus the per-element
-/// running-max bookkeeping that reproduces the oracle's tie-break.
-/// Shared with the affine packed kernel ([`crate::affine`]), which adds
-/// its own `E` buffer alongside.
-pub(crate) struct PackedState {
+/// Mutable per-scan state: two column buffers, the affine `E` buffer
+/// (empty for linear gaps), plus the per-element running-max bookkeeping
+/// that reproduces the oracle's tie-break.
+struct PackedState {
     /// Previous column's `H` (`rows * lanes`, row-major).
-    pub(crate) ph: Vec<i16>,
+    ph: Vec<i16>,
     /// Current column's `H`.
-    pub(crate) ch: Vec<i16>,
+    ch: Vec<i16>,
+    /// Affine only: `E` for the next column.
+    e: Vec<i16>,
     /// Running per-element maximum over all columns seen so far.
-    pub(crate) vmax: Vec<i16>,
+    vmax: Vec<i16>,
     /// Column (0-based) of the first strict improvement that set each
     /// element's current `vmax`.
-    pub(crate) first_j: Vec<u64>,
+    first_j: Vec<u64>,
     /// Per-lane threshold hits.
-    pub(crate) hits: Vec<u64>,
+    hits: Vec<u64>,
 }
 
 impl PackedState {
-    pub(crate) fn new(rows: usize, lanes: usize) -> Self {
-        let n = rows * lanes;
+    fn new<S: Scheme>(prof: &PackedProfile<S>) -> Self {
+        let n = prof.rows * prof.lanes;
         Self {
             ph: vec![0; n],
             ch: vec![0; n],
+            e: e_buffer::<S>(n, prof.gaps),
             vmax: vec![0; n],
             first_j: vec![0; n],
-            hits: vec![0; lanes],
+            hits: vec![0; prof.lanes],
         }
     }
 
     #[inline(always)]
-    pub(crate) fn flip(&mut self) {
+    fn flip(&mut self) {
         std::mem::swap(&mut self.ph, &mut self.ch);
     }
 }
 
 /// Computes one target column into `st.ch` from `st.ph`.
 ///
-/// Per row `i` (lane-wise): `H[i][j] = max(0, H[i-1][j-1] + subst,
-/// H[i-1][j] - gap, H[i][j-1] - gap)`. The top border (`i = -1`) is the
-/// zero row of a fresh local alignment, so both `diag` and `up` start at
-/// zero.
+/// Per row `i` (lane-wise) this is the Gotoh recurrence of the crate
+/// docs; linear gaps read `E` as `H[i][j-1] - go` and `F` as `H[i-1][j] -
+/// go`. The top border (`i = -1`) is the zero
+/// row of a fresh local alignment, so `diag` and `up` start at zero and
+/// the first row's affine `F` is `max(NEG_INF - ge, 0 - go) = -go`,
+/// precisely the open-from-the-zero-row value.
 ///
 /// # Safety
 /// The caller must guarantee the engine's ISA is available on the running
@@ -178,20 +160,43 @@ impl PackedState {
 /// `prof_row` must be packed for `E::LANES` lanes with at least `rows`
 /// rows.
 #[inline(always)]
-unsafe fn packed_column<E: Engine>(st: &mut PackedState, rows: usize, prof_row: &[i16], gap: i16) {
+unsafe fn packed_column<E: Engine, S: Scheme>(
+    st: &mut PackedState,
+    rows: usize,
+    prof_row: &[i16],
+    (go, ge): (i16, i16),
+) {
     let l = E::LANES;
     let vzero = E::splat(0);
-    let vgap = E::splat(gap);
+    let vgo = E::splat(go);
+    let vge = E::splat(ge);
     let mut diag = vzero; // H[i-1][j-1]
     let mut up = vzero; // H[i-1][j]
+    let mut vf = E::splat(NEG_INF); // affine F[i-1][j]
     for i in 0..rows {
         let off = i * l;
         let left = E::load(st.ph.as_ptr().add(off)); // H[i][j-1]
+        let ve = if S::AFFINE {
+            E::load(st.e.as_ptr().add(off)) // E[i][j]
+        } else {
+            E::subs(left, vgo)
+        };
+        if S::AFFINE {
+            vf = E::max(E::subs(vf, vge), E::subs(up, vgo)); // F[i][j]
+        } else {
+            vf = E::subs(up, vgo);
+        }
         let mut vh = E::adds(diag, E::load(prof_row.as_ptr().add(off)));
-        vh = E::max(vh, E::subs(left, vgap));
-        vh = E::max(vh, E::subs(up, vgap));
+        vh = E::max(vh, ve);
+        vh = E::max(vh, vf);
         vh = E::max(vh, vzero);
         E::store(st.ch.as_mut_ptr().add(off), vh);
+        if S::AFFINE {
+            E::store(
+                st.e.as_mut_ptr().add(off),
+                E::max(E::subs(ve, vge), E::subs(vh, vgo)),
+            );
+        }
         diag = left;
         up = vh;
     }
@@ -206,7 +211,7 @@ unsafe fn packed_column<E: Engine>(st: &mut PackedState, rows: usize, prof_row: 
 /// Same contract as [`packed_column`]; `valid` must cover every packed
 /// row of `st`.
 #[inline(always)]
-pub(crate) unsafe fn packed_stats<E: Engine>(
+unsafe fn packed_stats<E: Engine>(
     st: &mut PackedState,
     valid: &[u64],
     thr_minus_1: Option<i16>,
@@ -245,51 +250,32 @@ pub(crate) unsafe fn packed_stats<E: Engine>(
 /// The caller must guarantee the engine's ISA is available on the running
 /// CPU (or call this through a `#[target_feature]` wrapper).
 #[inline(always)]
-pub(crate) unsafe fn packed_score<E: Engine>(
-    prof: &mut PackedProfile,
+pub(crate) unsafe fn packed_score<E: Engine, S: Scheme>(
+    prof: &mut PackedProfile<S>,
     t: &[u8],
     threshold: i32,
 ) -> Vec<LinearSwResult> {
     debug_assert_eq!(E::LANES, prof.lanes);
-    let rows = prof.rows;
-    let gap = prof.gap;
-    let mut st = PackedState::new(rows, prof.lanes);
-    // Hits are only counted for positive thresholds (matching the scalar
-    // oracle); a threshold above the i16 range can never be reached by an
-    // admitted problem, so it degenerates to "count nothing".
-    let thr = if threshold > 0 && threshold <= i32::from(i16::MAX) {
-        Some((threshold - 1) as i16)
-    } else {
-        None
-    };
+    let (rows, gaps) = (prof.rows, prof.gaps);
+    let mut st = PackedState::new(prof);
+    let thr = hit_gate(threshold);
     for (j0, &c) in t.iter().enumerate() {
-        let row = prof.row(c);
-        packed_column::<E>(&mut st, rows, row, gap);
+        let row = prof.sym.row(c);
+        packed_column::<E, S>(&mut st, rows, row, gaps);
         packed_stats::<E>(&mut st, &prof.valid, thr, j0);
         st.flip();
     }
-    // Final reduction: scanning each lane's live rows in query order with
-    // a strict `>` reproduces the oracle's row-major-first tie-break —
-    // `first_j` holds each row's first column reaching its max, and the
-    // lowest such row wins.
+    let lanes = prof.lanes;
     prof.lens
         .iter()
         .enumerate()
         .map(|(l, &len)| {
-            let mut best = LinearSwResult {
-                best_score: 0,
-                best_end: (0, 0),
-                hits: st.hits[l],
-            };
-            for i in 0..len {
-                let idx = i * prof.lanes + l;
-                let v = i32::from(st.vmax[idx]);
-                if v > best.best_score {
-                    best.best_score = v;
-                    best.best_end = (i + 1, st.first_j[idx] as usize + 1);
-                }
-            }
-            best
+            best_of(
+                &st.vmax,
+                &st.first_j,
+                st.hits[l],
+                (0..len).map(|i| i * lanes + l),
+            )
         })
         .collect()
 }
@@ -299,14 +285,14 @@ pub(crate) unsafe fn packed_score<E: Engine>(
 ///
 /// The profile is reusable: scoring mutates only its lazy symbol-row
 /// cache, so one profile can scan an entire database of targets.
-pub fn score_batch_packed(
-    prof: &mut PackedProfile,
+pub fn score_batch_packed<S: Scheme>(
+    prof: &mut PackedProfile<S>,
     t: &[u8],
     threshold: i32,
 ) -> Vec<LinearSwResult> {
     match prof.isa {
         // SAFETY: the portable engine has no ISA requirement.
-        Isa::Portable => unsafe { packed_score::<crate::scalar::Portable>(prof, t, threshold) },
+        Isa::Portable => unsafe { packed_score::<crate::scalar::Portable, S>(prof, t, threshold) },
         // SAFETY: prof.isa is only Sse2 when runtime detection admitted it.
         #[cfg(target_arch = "x86_64")]
         Isa::Sse2 => unsafe { crate::x86::packed_sse2(prof, t, threshold) },
@@ -322,44 +308,31 @@ pub fn score_batch_packed(
 /// host: the i16 lane width for the SIMD paths, 1 for the scalar oracle.
 /// Batch planners size their lane groups with this.
 pub fn effective_lanes(choice: KernelChoice) -> usize {
-    match choice {
-        KernelChoice::Scalar => 1,
-        KernelChoice::Simd => Isa::best_available().lanes(),
-        KernelChoice::Auto => {
-            let best = Isa::best_available();
-            if best == Isa::Portable {
-                1
-            } else {
-                best.lanes()
-            }
-        }
-    }
+    choice.isa().map_or(1, Isa::lanes)
 }
 
 /// Scores many queries against one shared target, packing a different
 /// query into each i16 lane: the batch drop-in for a loop of single-pair
-/// `score` calls. Results are in query order and bit-identical to
-/// [`sw_score_linear`] per pair.
+/// `score` calls. Results are in query order and bit-identical to the
+/// scheme's scalar oracle per pair.
 ///
 /// Queries are packed [`effective_lanes`]`(choice)` at a time in the
 /// given order (pre-sort by length to minimize padding); queries outside
 /// the i16 envelope — and every query under `KernelChoice::Scalar` or
 /// when no real SIMD is available under `Auto` — run on the scalar
 /// oracle instead.
-pub fn score_batch(
+pub fn score_batch<S: Scheme>(
     choice: KernelChoice,
     queries: &[&[u8]],
     t: &[u8],
-    scoring: &Scoring,
+    scoring: &S,
     threshold: i32,
 ) -> Vec<LinearSwResult> {
-    let isa = match choice {
-        KernelChoice::Scalar => None,
-        KernelChoice::Simd => Some(Isa::best_available()),
-        KernelChoice::Auto => {
-            let best = Isa::best_available();
-            (best != Isa::Portable).then_some(best)
-        }
+    let Some(isa) = choice.isa() else {
+        return queries
+            .iter()
+            .map(|q| scoring.oracle(q, t, threshold))
+            .collect();
     };
     let zero = LinearSwResult {
         best_score: 0,
@@ -367,14 +340,8 @@ pub fn score_batch(
         hits: 0,
     };
     let mut out = vec![zero; queries.len()];
-    let Some(isa) = isa else {
-        for (slot, q) in out.iter_mut().zip(queries) {
-            *slot = sw_score_linear(q, t, scoring, threshold);
-        }
-        return out;
-    };
     let (packable, scalar): (Vec<usize>, Vec<usize>) =
-        (0..queries.len()).partition(|&i| fits_i16_query(queries[i].len(), scoring));
+        (0..queries.len()).partition(|&i| scoring.fits_i16_query(queries[i].len()));
     for group in packable.chunks(isa.lanes()) {
         let qs: Vec<&[u8]> = group.iter().map(|&i| queries[i]).collect();
         let mut prof =
@@ -387,7 +354,7 @@ pub fn score_batch(
         }
     }
     for i in scalar {
-        out[i] = sw_score_linear(queries[i], t, scoring, threshold);
+        out[i] = scoring.oracle(queries[i], t, threshold);
     }
     out
 }
@@ -395,6 +362,9 @@ pub fn score_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use genomedsm_core::linear::sw_score_linear;
+    use genomedsm_core::scoring::Scoring;
+    use genomedsm_core::sw_score_profile;
 
     const SC: Scoring = Scoring::paper();
 
@@ -495,5 +465,74 @@ mod tests {
     fn effective_lanes_is_one_for_scalar() {
         assert_eq!(effective_lanes(KernelChoice::Scalar), 1);
         assert!(effective_lanes(KernelChoice::Simd) >= 8);
+    }
+
+    fn oracle_each_affine(
+        queries: &[&[u8]],
+        t: &[u8],
+        ms: &MatrixScoring,
+        thr: i32,
+    ) -> Vec<LinearSwResult> {
+        queries
+            .iter()
+            .map(|q| sw_score_profile(q, t, ms, thr))
+            .collect()
+    }
+
+    #[test]
+    fn packed_affine_matches_oracle_on_a_ragged_pack() {
+        let ms = MatrixScoring::blosum62();
+        let queries: Vec<&[u8]> = vec![
+            b"MKVLAWQHKRWCEWLTNHGG",
+            b"",
+            b"W",
+            b"GAVDSTRQEFFPK",
+            b"AWQHKAWQHKAWQHKAWQHKAWQHK",
+            b"CCCCCCCC",
+        ];
+        let t = b"GAVDSMKVLAWQHKRWTTTRQEFFPKAWQHKWCEWLTN";
+        for thr in [0, 1, 4, i32::MAX] {
+            let want = oracle_each_affine(&queries, t, &ms, thr);
+            for isa in Isa::ALL {
+                if !isa.available() {
+                    continue;
+                }
+                let mut prof = PackedAffineProfile::new(&queries, &ms, isa).unwrap();
+                let got = score_batch_packed(&mut prof, t, thr);
+                assert_eq!(got, want, "isa {} thr {thr}", isa.name());
+            }
+        }
+    }
+
+    #[test]
+    fn packed_affine_profile_reuse_across_targets_stays_exact() {
+        let ms = MatrixScoring::blosum62();
+        let queries: Vec<&[u8]> = vec![b"MKVLAWQHKR", b"GAVDSTRQEF", b"WCEWLTNHGGAV"];
+        let targets: [&[u8]; 3] = [b"AWQHKRWCEWLTNHGGAVDSTRQ", b"MKVL", b""];
+        let mut prof = PackedAffineProfile::new(&queries, &ms, Isa::Portable).unwrap();
+        for t in targets {
+            assert_eq!(
+                score_batch_packed(&mut prof, t, 2),
+                oracle_each_affine(&queries, t, &ms, 2)
+            );
+        }
+    }
+
+    #[test]
+    fn score_batch_affine_spills_oversized_queries_to_scalar() {
+        let ms = MatrixScoring::blosum62();
+        // 40k residues exceed the i16 ceiling (40_000 * 11 cells); the
+        // big query must fall back while its neighbours stay packed.
+        let long = vec![b'W'; 40_000];
+        let queries: Vec<&[u8]> = vec![b"MKVLAWQ", &long, b"GAVD"];
+        let t = vec![b'W'; 500];
+        for choice in [KernelChoice::Scalar, KernelChoice::Simd, KernelChoice::Auto] {
+            let got = score_batch(choice, &queries, &t, &ms, 1);
+            assert_eq!(
+                got,
+                oracle_each_affine(&queries, &t, &ms, 1),
+                "choice {choice}"
+            );
+        }
     }
 }

@@ -1,27 +1,30 @@
 //! The engine abstraction and the generic striped Smith–Waterman recurrence.
 //!
-//! Everything algorithmic lives here, written once against the tiny
-//! [`Engine`] vector vocabulary. The ISA backends ([`crate::scalar`],
-//! [`crate::x86`]) only implement `Engine` and wrap the generic routines in
-//! `#[target_feature]` shells so the compiler can use the wide instructions.
+//! Everything algorithmic lives here and in [`crate::batch`], written once
+//! against the tiny [`Engine`] vector vocabulary and once over the gap
+//! model ([`Scheme`]). The ISA backends ([`crate::scalar`], [`crate::x86`])
+//! only implement `Engine` and wrap the generic routines in
+//! `#[target_feature]` shells so the compiler can use the wide
+//! instructions.
 //!
-//! # Why the linear-gap recurrence needs no `E` array
-//!
-//! With a single gap penalty `g` (open == extend), the affine horizontal
-//! state collapses: `E[i][j] = H[i][j-1] - g` exactly, so the "left"
-//! contribution is read straight from the previous column. Only the vertical
-//! chain (`F`) needs Farrar's lazy-loop fixup, because it runs *within* the
-//! current column across stripe boundaries.
+//! The recurrence for both gap models and the lazy-F exactness argument
+//! are in the crate docs.
 //!
 //! # Exactness
 //!
-//! The routines here are bit-exact against `sw_score_linear` (score, end
-//! point with the same row-major-first tie-break, and threshold hit count)
-//! whenever [`crate::fits_i16`] admits the problem; the public wrappers fall
-//! back to the scalar oracle otherwise, so saturation can never corrupt a
-//! result.
+//! The routines here are bit-exact against the scheme's scalar oracle
+//! ([`Scheme::oracle`]: score, end point with the same row-major-first
+//! tie-break, and threshold hit count) whenever [`Scheme::fits_i16`] admits
+//! the problem; the public wrappers fall back to the oracle otherwise, so
+//! saturation can never corrupt a result. Saturating i16 arithmetic cannot
+//! corrupt admitted problems: `H` is bounded by `min(m, n) * best_cell <=
+//! 32 000`, and `E`/`F` values that saturate toward `i16::MIN` are already
+//! dominated by the `H - go` re-open branch everywhere they are consumed.
 
 use crate::profile::{StripedProfile, NEG_INF};
+use crate::scheme::Scheme;
+use genomedsm_core::linear::LinearSwResult;
+use genomedsm_core::scoring::Scoring;
 
 /// Minimal SIMD vocabulary the striped recurrence needs.
 ///
@@ -99,10 +102,12 @@ pub(crate) struct StripedState {
     pub ph: Vec<i16>,
     /// Current column's `H` (the "store" buffer).
     pub ch: Vec<i16>,
+    /// Affine only (empty for linear gaps): `E` for the next column.
+    e: Vec<i16>,
     /// Running per-element maximum over all columns seen so far.
     pub vmax: Vec<i16>,
     /// Column index (0-based) of the first strict improvement that set the
-    /// current `vmax` value for each element; tracked only in argmax mode.
+    /// current `vmax` value for each element.
     pub first_j: Vec<u64>,
     /// Accumulated threshold hits over live elements.
     pub hits: u64,
@@ -110,15 +115,18 @@ pub(crate) struct StripedState {
 }
 
 impl StripedState {
-    pub fn new(p: usize, lanes: usize, track_argmax: bool) -> Self {
-        let n = p * lanes;
+    /// Fresh state for scanning with `prof`, as if after the zero boundary
+    /// column.
+    pub fn new<S: Scheme>(prof: &StripedProfile<S>) -> Self {
+        let n = prof.p * prof.lanes;
         Self {
-            p,
-            lanes,
+            p: prof.p,
+            lanes: prof.lanes,
             ph: vec![0; n],
             ch: vec![0; n],
+            e: e_buffer::<S>(n, prof.gaps),
             vmax: vec![0; n],
-            first_j: if track_argmax { vec![0; n] } else { Vec::new() },
+            first_j: vec![0; n],
             hits: 0,
             scratch: vec![0; n],
         }
@@ -131,23 +139,69 @@ impl StripedState {
     }
 }
 
-/// Computes one database column into `st.ch` from `st.ph`.
+/// The `E` buffer entering the first real column: exactly `-go` for every
+/// element (a gap opened from the zero boundary column). Empty for linear
+/// gaps, which never read it.
+pub(crate) fn e_buffer<S: Scheme>(n: usize, (go, _): (i16, i16)) -> Vec<i16> {
+    if S::AFFINE {
+        vec![-go; n]
+    } else {
+        Vec::new()
+    }
+}
+
+/// The i16 hit gate for `threshold`: hits are cells `> threshold - 1`.
+/// Hits are only counted for positive thresholds (matching the scalar
+/// oracle); a threshold above the i16 range can never be reached by an
+/// admitted problem, so it degenerates to "count nothing".
+pub(crate) fn hit_gate(threshold: i32) -> Option<i16> {
+    (threshold > 0 && threshold <= i32::from(i16::MAX)).then(|| (threshold - 1) as i16)
+}
+
+/// The final reduction of every kernel. `slots` yields one query's buffer
+/// indices in query order; scanning them with a strict `>` reproduces the
+/// oracle's row-major-first tie-break — `first_j` holds each row's first
+/// column reaching its max, and the lowest such row wins.
+pub(crate) fn best_of(
+    vmax: &[i16],
+    first_j: &[u64],
+    hits: u64,
+    slots: impl Iterator<Item = usize>,
+) -> LinearSwResult {
+    let mut best = LinearSwResult {
+        best_score: 0,
+        best_end: (0, 0),
+        hits,
+    };
+    for (q, idx) in slots.enumerate() {
+        let v = i32::from(vmax[idx]);
+        if v > best.best_score {
+            best.best_score = v;
+            best.best_end = (q + 1, first_j[idx] as usize + 1);
+        }
+    }
+    best
+}
+
+/// Computes one database column into `st.ch` from `st.ph` (and, for
+/// affine gaps, advances the `E` buffer to the next column).
 ///
 /// `diag0` is the boundary value entering query element 0's diagonal
 /// (`H[row0][j-1]`); `f0` is the vertical-gap value entering element 0
-/// (`H[row0][j] - gap`). For a plain local alignment both derive from a
+/// (`H[row0][j] - go`). For a plain local alignment both derive from a
 /// zero top row; the banded pre-process wavefront injects real border
 /// values here.
 ///
 /// # Safety
 /// The caller must guarantee the engine's ISA is available on the running
 /// CPU (or call this through a `#[target_feature]` wrapper), and `st` must
-/// have been built for `E::LANES` lanes with `p` stripes.
+/// have been built for `E::LANES` lanes with `p` stripes from a profile of
+/// scheme `S`.
 #[inline(always)]
-pub(crate) unsafe fn column<E: Engine>(
+pub(crate) unsafe fn column<E: Engine, S: Scheme>(
     st: &mut StripedState,
     prof_row: &[i16],
-    gap: i16,
+    (go, ge): (i16, i16),
     diag0: i16,
     f0: i16,
 ) {
@@ -155,7 +209,9 @@ pub(crate) unsafe fn column<E: Engine>(
     let l = E::LANES;
     debug_assert_eq!(l, st.lanes);
     debug_assert_eq!(prof_row.len(), p * l);
-    let vgap = E::splat(gap);
+    debug_assert_eq!(st.e.len(), if S::AFFINE { p * l } else { 0 });
+    let vgo = E::splat(go);
+    let vge = E::splat(ge);
     let vzero = E::splat(0);
     let mut vf = E::splat(NEG_INF);
     // Diagonal feed for stripe 0: last stripe of the previous column,
@@ -163,28 +219,51 @@ pub(crate) unsafe fn column<E: Engine>(
     let mut vh = E::shift_in(E::load(st.ph.as_ptr().add((p - 1) * l)), diag0);
     for k in 0..p {
         let off = k * l;
+        // Left neighbour: the stored E, or (linear) the previous column's
+        // H at the same element minus the gap.
+        let ve = if S::AFFINE {
+            E::load(st.e.as_ptr().add(off))
+        } else {
+            E::subs(E::load(st.ph.as_ptr().add(off)), vgo)
+        };
         vh = E::adds(vh, E::load(prof_row.as_ptr().add(off)));
-        // Left neighbour: previous column, same element (linear-gap E).
-        vh = E::max(vh, E::subs(E::load(st.ph.as_ptr().add(off)), vgap));
+        vh = E::max(vh, ve);
         vh = E::max(vh, vf);
         vh = E::max(vh, vzero);
         E::store(st.ch.as_mut_ptr().add(off), vh);
-        vf = E::subs(E::max(vf, vh), vgap);
+        if S::AFFINE {
+            // E for the next column: extend, or re-open from this H.
+            E::store(
+                st.e.as_mut_ptr().add(off),
+                E::max(E::subs(ve, vge), E::subs(vh, vgo)),
+            );
+            // F down the column: extend, or open from this H.
+            vf = E::max(E::subs(vf, vge), E::subs(vh, vgo));
+        } else {
+            vf = E::subs(E::max(vf, vh), vgo);
+        }
         vh = E::load(st.ph.as_ptr().add(off));
     }
-    // Farrar's lazy F: propagate vertical chains across the stripe-0
-    // boundary until no lane can still improve. With a linear gap the break
-    // test is simply `F <= H` — a chain through an element it cannot raise
-    // was already propagated from that element's H in the stripe loop.
+    // Farrar's lazy F across the stripe-0 boundary (see the crate docs
+    // for both break tests).
     vf = E::shift_in(vf, f0);
     let mut k = 0;
     loop {
-        let cur = E::load(st.ch.as_ptr().add(k * l));
-        if E::gt_bytes(vf, cur) == 0 {
+        let off = k * l;
+        let cur = E::load(st.ch.as_ptr().add(off));
+        let floor = if S::AFFINE { E::subs(cur, vgo) } else { cur };
+        if E::gt_bytes(vf, floor) == 0 {
             break;
         }
-        E::store(st.ch.as_mut_ptr().add(k * l), E::max(cur, vf));
-        vf = E::subs(vf, vgap);
+        let raised = E::max(cur, vf);
+        E::store(st.ch.as_mut_ptr().add(off), raised);
+        if S::AFFINE {
+            E::store(
+                st.e.as_mut_ptr().add(off),
+                E::max(E::load(st.e.as_ptr().add(off)), E::subs(raised, vgo)),
+            );
+        }
+        vf = E::subs(vf, vge);
         k += 1;
         if k == p {
             k = 0;
@@ -194,8 +273,8 @@ pub(crate) unsafe fn column<E: Engine>(
 }
 
 /// Post-column statistics pass over `st.ch`: threshold hits (live lanes
-/// only) and, in argmax mode, the running per-element max plus the column
-/// of its first strict improvement.
+/// only), the running per-element max, and the column of its first strict
+/// improvement.
 ///
 /// # Safety
 /// Same contract as [`column`]; additionally `valid` must cover all `p`
@@ -205,7 +284,6 @@ pub(crate) unsafe fn stats<E: Engine>(
     st: &mut StripedState,
     valid: &[u64],
     thr_minus_1: Option<i16>,
-    track_argmax: bool,
     j0: usize,
 ) {
     let p = st.p;
@@ -218,19 +296,17 @@ pub(crate) unsafe fn stats<E: Engine>(
             let m = E::gt_bytes(vh, vt) & vmask;
             st.hits += u64::from(m.count_ones() / 2);
         }
-        if track_argmax {
-            let vm = E::load(st.vmax.as_ptr().add(off));
-            let improved = E::gt_bytes(vh, vm);
-            if improved != 0 {
-                E::store(st.vmax.as_mut_ptr().add(off), E::max(vm, vh));
-                // Rare scalar fixup: record the first column each element's
-                // running max changed in (strict `>` keeps the earliest).
-                let mut bits = improved;
-                while bits != 0 {
-                    let lane = bits.trailing_zeros() as usize / 2;
-                    st.first_j[off + lane] = j0 as u64;
-                    bits &= !(0b11u64 << (lane * 2));
-                }
+        let vm = E::load(st.vmax.as_ptr().add(off));
+        let improved = E::gt_bytes(vh, vm);
+        if improved != 0 {
+            E::store(st.vmax.as_mut_ptr().add(off), E::max(vm, vh));
+            // Rare scalar fixup: record the first column each element's
+            // running max changed in (strict `>` keeps the earliest).
+            let mut bits = improved;
+            while bits != 0 {
+                let lane = bits.trailing_zeros() as usize / 2;
+                st.first_j[off + lane] = j0 as u64;
+                bits &= !(0b11u64 << (lane * 2));
             }
         }
     }
@@ -263,54 +339,35 @@ pub(crate) unsafe fn destripe_column<E: Engine>(st: &StripedState, m: usize, out
     }
 }
 
-/// Full striped local-alignment pass, exact against `sw_score_linear`.
+/// Full striped local-alignment pass, exact against [`Scheme::oracle`].
 ///
 /// # Safety
 /// The caller must guarantee the engine's ISA is available on the running
 /// CPU (or call this through a `#[target_feature]` wrapper).
 #[inline(always)]
-pub(crate) unsafe fn striped_score<E: Engine>(
-    prof: &mut StripedProfile,
+pub(crate) unsafe fn striped_score<E: Engine, S: Scheme>(
+    prof: &mut StripedProfile<S>,
     t: &[u8],
     threshold: i32,
-) -> genomedsm_core::linear::LinearSwResult {
-    use genomedsm_core::linear::LinearSwResult;
-    let gap = prof.gap;
-    let m = prof.m;
-    let mut st = StripedState::new(prof.p, prof.lanes, true);
-    // Hits are only counted for positive thresholds (matching the scalar
-    // oracle); a threshold above the i16 range can never be reached by an
-    // admitted problem, so it degenerates to "count nothing".
-    let thr = if threshold > 0 && threshold <= i32::from(i16::MAX) {
-        Some((threshold - 1) as i16)
-    } else {
-        None
-    };
+) -> LinearSwResult {
+    let gaps = prof.gaps;
+    let mut st = StripedState::new(prof);
+    let thr = hit_gate(threshold);
     for (j0, &c) in t.iter().enumerate() {
         let row = prof.row(c);
-        // Zero top row: diagonal boundary 0, vertical-gap boundary -gap.
-        column::<E>(&mut st, row, gap, 0, -gap);
-        stats::<E>(&mut st, &prof.valid, thr, true, j0);
+        // Zero top row: diagonal boundary 0, vertical-gap boundary `-go`
+        // (a gap opened from that row, which can never pass either lazy-F
+        // test).
+        column::<E, S>(&mut st, row, gaps, 0, -gaps.0);
+        stats::<E>(&mut st, &prof.valid, thr, j0);
         st.flip();
     }
-    // Final reduction: scanning live elements in query order with a strict
-    // `>` reproduces the oracle's row-major-first tie-break — `first_j`
-    // holds each row's first column reaching its max, and the lowest such
-    // row wins.
-    let mut best = LinearSwResult {
-        best_score: 0,
-        best_end: (0, 0),
-        hits: st.hits,
-    };
-    for q in 0..m {
-        let idx = prof.index_of(q);
-        let v = i32::from(st.vmax[idx]);
-        if v > best.best_score {
-            best.best_score = v;
-            best.best_end = (q + 1, st.first_j[idx] as usize + 1);
-        }
-    }
-    best
+    best_of(
+        &st.vmax,
+        &st.first_j,
+        st.hits,
+        (0..prof.m).map(|q| prof.index_of(q)),
+    )
 }
 
 /// Outputs of one [`band_advance`] call.
@@ -335,27 +392,30 @@ pub(crate) struct BandChunkOut<'a> {
 /// database sequence, injecting the top border row computed by the band
 /// above (`top[0]` is the corner `H[row0][first_col-1]`).
 ///
+/// Linear gaps only: an affine band would also need the band above's
+/// bottom-row `F`, which the wavefront does not carry.
+///
 /// # Safety
 /// Same contract as [`striped_score`].
 #[inline(always)]
 pub(crate) unsafe fn band_advance<E: Engine>(
     st: &mut StripedState,
-    prof: &mut StripedProfile,
+    prof: &mut StripedProfile<Scoring>,
     chunk: &[u8],
     top: &[i32],
     thr_minus_1: Option<i16>,
     out: &mut BandChunkOut<'_>,
 ) {
     debug_assert_eq!(top.len(), chunk.len() + 1);
-    let gap = prof.gap;
+    let gaps = prof.gaps;
     let m = prof.m;
     for (jj, &c) in chunk.iter().enumerate() {
         let row = prof.row(c);
         let diag0 = top[jj] as i16;
-        let f0 = (top[jj + 1] as i16).saturating_sub(gap);
-        column::<E>(st, row, gap, diag0, f0);
+        let f0 = (top[jj + 1] as i16).saturating_sub(gaps.0);
+        column::<E, Scoring>(st, row, gaps, diag0, f0);
         let hits_before = st.hits;
-        stats::<E>(st, &prof.valid, thr_minus_1, true, 0);
+        stats::<E>(st, &prof.valid, thr_minus_1, 0);
         out.col_hits.push(st.hits - hits_before);
         out.bottom.push(i32::from(extract::<E>(st, m - 1)));
         if let Some(every) = out.save_every {

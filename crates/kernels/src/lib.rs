@@ -1,9 +1,63 @@
 //! Vectorized Smith–Waterman score kernels with runtime ISA dispatch.
 //!
 //! Every strategy in this reproduction bottoms out in the same per-cell SW
-//! recurrence; this crate lifts that inner loop onto Farrar's striped SIMD
-//! layout (the approach behind the SSW library — see PAPERS.md) and offers
-//! it three ways behind one trait:
+//! recurrence; this crate lifts that inner loop onto SIMD in two layouts
+//! and runs both gap models on each:
+//!
+//! * **striped** (Farrar; the approach behind the SSW library — see
+//!   PAPERS.md): one query spread across all lanes, for per-pair scoring
+//!   ([`ScoreKernel`]) and the banded pre-process wavefront
+//!   ([`BandScorer`]);
+//! * **lane-packed** (DSA/SWIPE inter-sequence): a different query per
+//!   lane against a shared target, for database search
+//!   ([`PackedProfile`], [`score_batch`]).
+//!
+//! Each layout has one column routine, written once over the [`Scheme`]
+//! trait: `Scoring` (the paper's linear gaps) and `MatrixScoring`
+//! (affine-gap Gotoh under a substitution matrix, the protein path). The
+//! gap model is a compile-time constant, so the linear instantiation runs
+//! its own instruction sequence with no `E` state.
+//!
+//! # The recurrence
+//!
+//! The affine (Gotoh) recurrence carries two gap states per element,
+//!
+//! ```text
+//! E[i][j] = max(E[i][j-1] - ge, H[i][j-1] - go)   (gap in the query)
+//! F[i][j] = max(F[i-1][j] - ge, H[i-1][j] - go)   (gap in the target)
+//! H[i][j] = max(0, H[i-1][j-1] + s(q_i, t_j), E[i][j], F[i][j])
+//! ```
+//!
+//! with `go`/`ge` the positive open/extend penalties. With a single gap
+//! penalty (`go == ge`, [`Scheme::AFFINE`] false) the horizontal state
+//! collapses to `E[i][j] = H[i][j-1] - g`, read straight from the previous
+//! column, so the linear instantiation keeps no `E` buffer at all. The
+//! affine one keeps `E` in a buffer written one column ahead.
+//!
+//! In the lane-packed layout the lanes are independent alignments and `F`
+//! runs down the rows in order, so it is exact on the way down. In the
+//! striped layout the vertical chain (`F`) needs Farrar's lazy-loop
+//! fixup, because it runs *within* the current column across stripe
+//! boundaries. The loop continues while some lane's carried `F` can still
+//! matter:
+//!
+//! * **linear:** `F > H`. A chain through an element it cannot raise was
+//!   already propagated from that element's `H` in the stripe loop.
+//! * **affine:** `F > H - go`, strictly longer: a chain that cannot raise
+//!   this element's `H` may still beat *re-opening* a gap below it.
+//!   Whenever the loop raises an `H`, it also refreshes the stored `E`
+//!   (`E ← max(E, H_new - go)`), which restores the exact Gotoh `E` for
+//!   the next column: the stripe loop already folded in `E - ge` and the
+//!   old `H - go`, and the raised `H` only adds the third candidate.
+//!   Propagating the chain as `F - ge` alone is complete because admission
+//!   requires `gap_open <= gap_extend` (signed), so extending an existing
+//!   gap dominates re-opening from a lazily raised `H` (which equals that
+//!   same `F`).
+//!
+//! Termination: `F` drops by `ge >= 1` per stripe while the `H` side of
+//! the test is bounded below.
+//!
+//! # Kernels
 //!
 //! | kernel               | width        | requires             |
 //! |----------------------|--------------|----------------------|
@@ -12,43 +66,37 @@
 //! | `striped-sse2`       | 8 × i16      | SSE2 (any x86_64)    |
 //! | `striped-avx2`       | 16 × i16     | AVX2, detected at runtime |
 //!
-//! All kernels are **bit-exact** against `sw_score_linear`: same best
-//! score, same end point (including the row-major-first tie-break), same
-//! threshold hit count. Problems that could saturate the i16 lanes (see
-//! [`fits_i16`]) transparently fall back to the scalar oracle, so callers
-//! never trade correctness for speed.
+//! All kernels are **bit-exact** against the scheme's scalar oracle
+//! (`sw_score_linear` or `sw_score_profile`): same best score, same end
+//! point (including the row-major-first tie-break), same threshold hit
+//! count. Problems that could saturate the i16 lanes (see [`fits_i16`],
+//! [`fits_i16_affine`]) transparently fall back to the scalar oracle, so
+//! callers never trade correctness for speed.
 //!
 //! Selection is by [`KernelChoice`] (`scalar | simd | auto`): `auto` picks
 //! the fastest exact kernel for the host, `simd` forces the striped path
 //! (portable fallback included), `scalar` forces the oracle.
 
-mod affine;
 mod band;
 mod batch;
 mod engine;
 mod profile;
 mod scalar;
+mod scheme;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-pub use affine::{score_batch_affine, score_batch_packed_affine, PackedAffineProfile};
 pub use band::BandScorer;
-pub use batch::{effective_lanes, score_batch, score_batch_packed, PackedProfile};
+pub use batch::{
+    effective_lanes, score_batch, score_batch as score_batch_affine, score_batch_packed,
+    score_batch_packed as score_batch_packed_affine, PackedAffineProfile, PackedProfile,
+};
 pub use genomedsm_core::linear::LinearSwResult;
+pub use scheme::Scheme;
 
-use affine::AffineStripedProfile;
-use genomedsm_core::linear::sw_score_linear;
 use genomedsm_core::scoring::Scoring;
 use genomedsm_core::submat::MatrixScoring;
-use genomedsm_core::sw_score_profile;
 use profile::StripedProfile;
-
-/// Highest cell value the striped kernels accept, with margin below
-/// `i16::MAX` so transient sums cannot saturate.
-const I16_SCORE_CEILING: i64 = 32_000;
-/// Largest magnitude accepted for the three scoring parameters, with margin
-/// above the profile's padding sentinel.
-const I16_PARAM_CEILING: i32 = 28_000;
 
 /// Instruction set a striped kernel runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,6 +169,19 @@ pub enum KernelChoice {
 }
 
 impl KernelChoice {
+    /// The striped engine this choice runs on this host, or `None` for the
+    /// scalar oracle. `auto` resolves to scalar when no real SIMD is
+    /// available: the portable striped engine exists for correctness
+    /// coverage, not speed, and is slower than the plain scalar loop.
+    pub(crate) fn isa(self) -> Option<Isa> {
+        let best = Isa::best_available();
+        match self {
+            Self::Scalar => None,
+            Self::Simd => Some(best),
+            Self::Auto => (best != Isa::Portable).then_some(best),
+        }
+    }
+
     /// Parses `scalar | simd | auto` (case-insensitive).
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
@@ -156,96 +217,40 @@ impl std::fmt::Display for KernelChoice {
 }
 
 /// Whether a problem of these dimensions is exactly representable in the
-/// i16 striped kernels.
+/// i16 kernels under the linear-gap `scoring`.
 ///
 /// Local scores are bounded by `min(m, n) * matches` (each of the at most
 /// `min(m, n)` aligned columns contributes at most `matches`), so keeping
-/// that product under the internal `I16_SCORE_CEILING` (32 000) rules out
-/// saturation of every intermediate value. Degenerate scoring schemes (non-negative gap, huge
-/// magnitudes, mismatch above match) are routed to scalar rather than
-/// reasoned about.
+/// that product under the internal ceiling (32 000) rules out saturation
+/// of every intermediate value. Degenerate scoring schemes (non-negative
+/// gap, huge magnitudes, mismatch above match) are routed to scalar rather
+/// than reasoned about.
 pub fn fits_i16(m: usize, n: usize, scoring: &Scoring) -> bool {
-    if m == 0 || n == 0 {
-        return false; // trivial; let the scalar oracle return its zero result
-    }
-    if scoring.gap >= 0 || scoring.gap < -I16_PARAM_CEILING {
-        return false;
-    }
-    if scoring.matches <= 0
-        || scoring.mismatch > scoring.matches
-        || scoring.mismatch < -I16_PARAM_CEILING
-    {
-        return false;
-    }
-    (m.min(n) as i64).saturating_mul(i64::from(scoring.matches)) <= I16_SCORE_CEILING
+    scoring.fits_i16(m, n)
 }
 
 /// [`fits_i16`] for a query whose target length is not yet known — the
 /// admission rule for packing a query into a [`PackedProfile`] that will be
-/// reused across a whole database of targets.
-///
-/// Local scores are bounded by `min(m, n) * matches <= m * matches` for any
-/// target length `n`, so `m * matches <= I16_SCORE_CEILING` rules out
-/// saturation against every possible target. Unlike [`fits_i16`], an empty
-/// query is admitted: its lane is fully masked and yields the oracle's zero
-/// result for free.
+/// reused across a whole database of targets (`min(m, n) * matches <= m *
+/// matches` for any target length `n`). Unlike [`fits_i16`], an empty
+/// query is admitted: its lane is fully masked and yields the oracle's
+/// zero result for free.
 pub fn fits_i16_query(m: usize, scoring: &Scoring) -> bool {
-    if scoring.gap >= 0 || scoring.gap < -I16_PARAM_CEILING {
-        return false;
-    }
-    if scoring.matches <= 0
-        || scoring.mismatch > scoring.matches
-        || scoring.mismatch < -I16_PARAM_CEILING
-    {
-        return false;
-    }
-    (m as i64).saturating_mul(i64::from(scoring.matches)) <= I16_SCORE_CEILING
+    scoring.fits_i16_query(m)
 }
 
-fn affine_params_ok(scoring: &MatrixScoring) -> bool {
-    // Both penalties negative and bounded; open at least as costly as
-    // extend (signed `gap_open <= gap_extend`) — the affine lazy-F loop's
-    // "extension dominates re-opening" argument requires it, and every
-    // standard protein scheme satisfies it.
-    if scoring.gap_open >= 0 || scoring.gap_extend >= 0 {
-        return false;
-    }
-    if scoring.gap_open > scoring.gap_extend || scoring.gap_open < -I16_PARAM_CEILING {
-        return false;
-    }
-    // Matrix entries must stay clear of the padding sentinel and offer a
-    // positive score somewhere (otherwise every result is the zero result
-    // and the scalar oracle is free anyway).
-    let maxs = scoring.matrix.max_score();
-    let mins = scoring.matrix.min_score();
-    maxs >= 1 && i32::from(maxs) <= I16_PARAM_CEILING && i32::from(mins) >= -I16_PARAM_CEILING
-}
-
-/// Whether a problem of these dimensions is exactly representable in the
-/// i16 striped *affine* kernels under `scoring` — the protein-path
-/// counterpart of [`fits_i16`].
-///
-/// Local scores are bounded by `min(m, n) * max_matrix_score` (gaps only
-/// subtract), so keeping that product under the internal ceiling rules
-/// out saturation of every `H`; `E`/`F` values that saturate low are
-/// dominated by the `H + gap_open` re-open branch everywhere they are
-/// consumed, so they cannot corrupt an admitted result.
+/// The affine-gap (protein) counterpart of [`fits_i16`]: local scores are
+/// bounded by `min(m, n) * max_matrix_score`, and the penalties must
+/// satisfy `gap_open <= gap_extend < 0`.
 pub fn fits_i16_affine(m: usize, n: usize, scoring: &MatrixScoring) -> bool {
-    if m == 0 || n == 0 {
-        return false; // trivial; let the scalar oracle return its zero result
-    }
-    affine_params_ok(scoring)
-        && (m.min(n) as i64).saturating_mul(i64::from(scoring.matrix.max_score()))
-            <= I16_SCORE_CEILING
+    scoring.fits_i16(m, n)
 }
 
 /// [`fits_i16_affine`] for a query whose target length is not yet known —
-/// the admission rule for packing a query into a [`PackedAffineProfile`]
-/// reused across a whole database. Empty queries are admitted (their lane
-/// is fully masked and yields the zero result for free).
+/// the admission rule for packing a query into a [`PackedAffineProfile`].
+/// Empty queries are admitted.
 pub fn fits_i16_affine_query(m: usize, scoring: &MatrixScoring) -> bool {
-    affine_params_ok(scoring)
-        && (m as i64).saturating_mul(i64::from(scoring.matrix.max_score())) <= I16_SCORE_CEILING
+    scoring.fits_i16_query(m)
 }
 
 /// A drop-in replacement for `sw_score_linear`: same inputs, same exact
@@ -260,7 +265,7 @@ pub trait ScoreKernel: Send + Sync {
     fn score(&self, s: &[u8], t: &[u8], scoring: &Scoring, threshold: i32) -> LinearSwResult;
 
     /// Affine-gap (Gotoh) scoring under a full substitution matrix — the
-    /// protein path. Exact per [`sw_score_profile`]'s contract, with the
+    /// protein path. Exact per `sw_score_profile`'s contract, with the
     /// same transparent scalar fallback outside the i16 envelope.
     fn score_affine(
         &self,
@@ -281,7 +286,7 @@ impl ScoreKernel for ScalarKernel {
     }
 
     fn score(&self, s: &[u8], t: &[u8], scoring: &Scoring, threshold: i32) -> LinearSwResult {
-        sw_score_linear(s, t, scoring, threshold)
+        scoring.oracle(s, t, threshold)
     }
 
     fn score_affine(
@@ -291,7 +296,7 @@ impl ScoreKernel for ScalarKernel {
         scoring: &MatrixScoring,
         threshold: i32,
     ) -> LinearSwResult {
-        sw_score_profile(s, t, scoring, threshold)
+        scoring.oracle(s, t, threshold)
     }
 }
 
@@ -319,6 +324,36 @@ impl StripedKernel {
     pub fn isa(&self) -> Isa {
         self.isa
     }
+
+    /// The one striped dispatcher behind both gap models.
+    fn dispatch<S: Scheme>(
+        &self,
+        s: &[u8],
+        t: &[u8],
+        scheme: &S,
+        threshold: i32,
+    ) -> LinearSwResult {
+        if !scheme.fits_i16(s.len(), t.len()) || !self.isa.available() {
+            return scheme.oracle(s, t, threshold);
+        }
+        let mut prof = StripedProfile::new(s, scheme, self.isa.lanes());
+        match self.isa {
+            // SAFETY: the portable engine has no ISA requirement; the
+            // profile above was built for its lane width.
+            Isa::Portable => unsafe {
+                engine::striped_score::<scalar::Portable, S>(&mut prof, t, threshold)
+            },
+            // SAFETY: self.isa.available() was checked above, so the
+            // target_feature contract of the wrapper holds.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Sse2 => unsafe { x86::striped_sse2(&mut prof, t, threshold) },
+            // SAFETY: as above — available() verified AVX2 at runtime.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { x86::striped_avx2(&mut prof, t, threshold) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Isa::Sse2 | Isa::Avx2 => unreachable!("guarded by Isa::available"),
+        }
+    }
 }
 
 impl ScoreKernel for StripedKernel {
@@ -327,26 +362,7 @@ impl ScoreKernel for StripedKernel {
     }
 
     fn score(&self, s: &[u8], t: &[u8], scoring: &Scoring, threshold: i32) -> LinearSwResult {
-        if !fits_i16(s.len(), t.len(), scoring) || !self.isa.available() {
-            return sw_score_linear(s, t, scoring, threshold);
-        }
-        let mut prof = StripedProfile::new(s, scoring, self.isa.lanes());
-        match self.isa {
-            // SAFETY: the portable engine has no ISA requirement; the
-            // profile above was built for its lane width.
-            Isa::Portable => unsafe {
-                engine::striped_score::<scalar::Portable>(&mut prof, t, threshold)
-            },
-            // SAFETY: self.isa.available() was checked above, so the
-            // target_feature contract of the wrapper holds.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Sse2 => unsafe { x86::score_sse2(&mut prof, t, threshold) },
-            // SAFETY: as above — available() verified AVX2 at runtime.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { x86::score_avx2(&mut prof, t, threshold) },
-            #[cfg(not(target_arch = "x86_64"))]
-            Isa::Sse2 | Isa::Avx2 => unreachable!("guarded by Isa::available"),
-        }
+        self.dispatch(s, t, scoring, threshold)
     }
 
     fn score_affine(
@@ -356,26 +372,7 @@ impl ScoreKernel for StripedKernel {
         scoring: &MatrixScoring,
         threshold: i32,
     ) -> LinearSwResult {
-        if !fits_i16_affine(s.len(), t.len(), scoring) || !self.isa.available() {
-            return sw_score_profile(s, t, scoring, threshold);
-        }
-        let mut prof = AffineStripedProfile::new(s, scoring, self.isa.lanes());
-        match self.isa {
-            // SAFETY: the portable engine has no ISA requirement; the
-            // profile above was built for its lane width.
-            Isa::Portable => unsafe {
-                affine::striped_affine_score::<scalar::Portable>(&mut prof, t, threshold)
-            },
-            // SAFETY: self.isa.available() was checked above, so the
-            // target_feature contract of the wrapper holds.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Sse2 => unsafe { x86::affine_sse2(&mut prof, t, threshold) },
-            // SAFETY: as above — available() verified AVX2 at runtime.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { x86::affine_avx2(&mut prof, t, threshold) },
-            #[cfg(not(target_arch = "x86_64"))]
-            Isa::Sse2 | Isa::Avx2 => unreachable!("guarded by Isa::available"),
-        }
+        self.dispatch(s, t, scoring, threshold)
     }
 }
 
@@ -397,17 +394,9 @@ fn striped_static(isa: Isa) -> &'static StripedKernel {
 /// `auto` returns the plain scalar kernel when no real SIMD is available —
 /// the portable striped engine exists for correctness coverage, not speed.
 pub fn kernel_for(choice: KernelChoice) -> &'static dyn ScoreKernel {
-    match choice {
-        KernelChoice::Scalar => &SCALAR,
-        KernelChoice::Simd => striped_static(Isa::best_available()),
-        KernelChoice::Auto => {
-            let best = Isa::best_available();
-            if best == Isa::Portable {
-                &SCALAR
-            } else {
-                striped_static(best)
-            }
-        }
+    match choice.isa() {
+        Some(isa) => striped_static(isa),
+        None => &SCALAR,
     }
 }
 
@@ -426,6 +415,9 @@ pub fn available_kernels() -> Vec<&'static dyn ScoreKernel> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use genomedsm_core::linear::sw_score_linear;
+    use genomedsm_core::submat::SubstMatrix;
+    use genomedsm_core::sw_score_profile;
 
     const SC: Scoring = Scoring::paper();
 
@@ -544,6 +536,40 @@ mod tests {
         let full = genomedsm_core::matrix::sw_matrix(s, t, &SC);
         for (j, &b) in bottom.iter().enumerate() {
             assert_eq!(b, full.get(s.len(), j + 1), "bottom col {}", j + 1);
+        }
+    }
+
+    #[test]
+    fn striped_affine_matches_oracle_every_engine() {
+        let ms = MatrixScoring::blosum62();
+        let s = b"MKVLAWQHKRWCEWLTNHGGAVDSTRQEFFPK";
+        let t = b"GAVDSMKVLAWQHKRWTTTRQEFFPKAWQHK";
+        assert!(fits_i16_affine(s.len(), t.len(), &ms));
+        for thr in [0, 1, 5, i32::MAX] {
+            let want = sw_score_profile(s, t, &ms, thr);
+            for isa in Isa::ALL.into_iter().filter(|isa| isa.available()) {
+                let got = StripedKernel { isa }.score_affine(s, t, &ms, thr);
+                assert_eq!(got, want, "isa {} thr {thr}", isa.name());
+            }
+        }
+    }
+
+    #[test]
+    fn deep_gap_runs_cross_many_stripe_boundaries() {
+        // A long query with the strong match material at the *end* forces
+        // vertical gap chains to propagate across stripe boundaries, which
+        // is exactly what the lazy loop must get right.
+        let ms = MatrixScoring::new(SubstMatrix::blosum62(), -2, -1);
+        let mut s = vec![b'G'; 90];
+        let motif = b"WWWWHHHHWWWW";
+        let at = s.len() - motif.len();
+        s[at..].copy_from_slice(motif);
+        let mut t = vec![b'A'; 8];
+        t.extend_from_slice(motif);
+        let want = sw_score_profile(&s, &t, &ms, 3);
+        for isa in Isa::ALL.into_iter().filter(|isa| isa.available()) {
+            let got = StripedKernel { isa }.score_affine(&s, &t, &ms, 3);
+            assert_eq!(got, want, "isa {}", isa.name());
         }
     }
 }

@@ -1,4 +1,5 @@
-//! Farrar striped query profile.
+//! Query profiles: the per-target-symbol substitution rows both layouts
+//! read, and the Farrar striped layout.
 //!
 //! The striped layout (Farrar 2007, see PAPERS.md: the SSW library and the
 //! Knights Landing study both build on it) places query element `q` in
@@ -6,92 +7,112 @@
 //! length. A vector therefore holds `LANES` query positions that are `p`
 //! apart, which makes the intra-column data dependency (the vertical gap
 //! chain) span *vectors* instead of *lanes* and lets the whole substitution
-//! add run unconditionally.
+//! add run unconditionally. The lane-packed layout ([`crate::PackedProfile`])
+//! is plain row-major instead: slot `i * LANES + l` holds row `i` of query
+//! `l`.
 //!
-//! The profile precomputes, for each database symbol `c`, the striped vector
-//! sequence `prof[c][k*LANES + l] = subst(s[l*p + k], c)` so the inner loop
-//! is a single saturating add per stripe. Rows are built lazily per observed
-//! symbol (the DNA alphabet only ever touches 4–5 of the 256 slots).
+//! Either way the profile precomputes, for each target symbol `c`, the
+//! vector sequence `row[slot] = subst(query byte at slot, c)` so the inner
+//! loop is a single saturating add per vector. [`SymbolRows`] builds those
+//! rows lazily per observed symbol (DNA touches 4–5 of the 256 slots, the
+//! protein alphabet at most 24 plus folded aliases).
 
-use genomedsm_core::scoring::Scoring;
+use crate::scheme::Scheme;
 
-/// Sentinel for padding lanes (`q >= m`) and "no value" boundaries.
+/// Sentinel for padding slots and "no value" boundaries.
 ///
 /// Chosen well above `i16::MIN` so that saturating arithmetic on top of it
 /// cannot wrap, and low enough that `NEG_INF + max_profile_score` stays
-/// far below zero for every scoring scheme admitted by
-/// [`fits_i16`](crate::fits_i16).
+/// far below zero for every scoring scheme the i16 admission checks
+/// accept.
 pub(crate) const NEG_INF: i16 = -30_000;
 
+/// Lazily built profile rows for one laid-out query set.
+pub(crate) struct SymbolRows<S> {
+    scheme: S,
+    /// Query byte held by every buffer slot, `None` for padding.
+    slots: Box<[Option<u8>]>,
+    rows: Vec<Option<Box<[i16]>>>,
+}
+
+impl<S: Scheme> SymbolRows<S> {
+    pub fn new(scheme: &S, slots: Box<[Option<u8>]>) -> Self {
+        Self {
+            scheme: *scheme,
+            slots,
+            rows: vec![None; 256],
+        }
+    }
+
+    /// The profile row for target symbol `c`, one value per slot
+    /// ([`NEG_INF`] on padding).
+    pub fn row(&mut self, c: u8) -> &[i16] {
+        let (scheme, slots) = (&self.scheme, &self.slots);
+        self.rows[usize::from(c)].get_or_insert_with(|| {
+            slots
+                .iter()
+                .map(|q| q.map_or(NEG_INF, |q| scheme.subst_i16(q, c)))
+                .collect()
+        })
+    }
+
+    /// Per-vector live-lane masks for vectors of `lanes` slots (2 bits per
+    /// live lane, the `movemask_epi8` convention of `Engine::gt_bytes`).
+    pub fn live_masks(&self, lanes: usize) -> Vec<u64> {
+        self.slots
+            .chunks(lanes)
+            .map(|v| {
+                (0..lanes)
+                    .filter(|&l| v[l].is_some())
+                    .fold(0u64, |mask, l| mask | 0b11 << (2 * l))
+            })
+            .collect()
+    }
+}
+
 /// Striped substitution profile for one query sequence at a fixed lane width.
-pub(crate) struct StripedProfile {
+pub(crate) struct StripedProfile<S> {
     /// Query length.
     pub m: usize,
     /// Segment length: number of stripes, `ceil(m / lanes)`.
     pub p: usize,
     /// Vector width in i16 lanes.
     pub lanes: usize,
-    /// Linear gap penalty as a positive i16 (`-scoring.gap`).
-    pub gap: i16,
+    /// `(open, extend)` gap penalties as positive i16 values.
+    pub gaps: (i16, i16),
     /// Per-stripe byte-granularity validity mask (2 bits per live lane),
-    /// matching the `movemask_epi8` convention of [`Engine::gt_bytes`].
+    /// matching the `movemask_epi8` convention of `Engine::gt_bytes`.
     pub valid: Vec<u64>,
-    /// Lazily built profile rows, one per database symbol.
-    rows: Vec<Option<Box<[i16]>>>,
-    seq: Box<[u8]>,
-    match_score: i16,
-    mismatch: i16,
+    sym: SymbolRows<S>,
 }
 
-impl StripedProfile {
+impl<S: Scheme> StripedProfile<S> {
     /// Builds the profile skeleton; rows are filled on first use.
     ///
-    /// Caller must have checked [`fits_i16`](crate::fits_i16) so the three
-    /// scoring values are representable.
-    pub fn new(s: &[u8], scoring: &Scoring, lanes: usize) -> Self {
+    /// Caller must have checked [`Scheme::fits_i16`] so every score and
+    /// penalty is representable.
+    pub fn new(s: &[u8], scheme: &S, lanes: usize) -> Self {
         debug_assert!(!s.is_empty());
         let m = s.len();
         let p = m.div_ceil(lanes);
-        let mut valid = Vec::with_capacity(p);
-        for k in 0..p {
-            let mut mask = 0u64;
-            for l in 0..lanes {
-                if l * p + k < m {
-                    mask |= 0b11 << (2 * l);
-                }
-            }
-            valid.push(mask);
+        let mut slots = vec![None; p * lanes];
+        for (q, &c) in s.iter().enumerate() {
+            slots[(q % p) * lanes + q / p] = Some(c);
         }
+        let sym = SymbolRows::new(scheme, slots.into_boxed_slice());
         Self {
             m,
             p,
             lanes,
-            gap: (-scoring.gap) as i16,
-            valid,
-            rows: vec![None; 256],
-            seq: s.into(),
-            match_score: scoring.matches as i16,
-            mismatch: scoring.mismatch as i16,
+            gaps: scheme.gap_penalties(),
+            valid: sym.live_masks(lanes),
+            sym,
         }
     }
 
     /// The striped profile row for database symbol `c` (`p * lanes` values).
     pub fn row(&mut self, c: u8) -> &[i16] {
-        let slot = &mut self.rows[c as usize];
-        if slot.is_none() {
-            let mut row = vec![NEG_INF; self.p * self.lanes];
-            for (q, &sc) in self.seq.iter().enumerate() {
-                let k = q % self.p;
-                let l = q / self.p;
-                row[k * self.lanes + l] = if sc == c {
-                    self.match_score
-                } else {
-                    self.mismatch
-                };
-            }
-            *slot = Some(row.into_boxed_slice());
-        }
-        slot.as_deref().unwrap()
+        self.sym.row(c)
     }
 
     /// Striped buffer index of query element `q`.
@@ -104,6 +125,8 @@ impl StripedProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use genomedsm_core::scoring::Scoring;
+    use genomedsm_core::submat::MatrixScoring;
 
     #[test]
     fn layout_round_trips_every_query_position() {
@@ -137,6 +160,19 @@ mod tests {
         for (idx, &slot) in row.iter().enumerate() {
             if !live.contains(&idx) {
                 assert_eq!(slot, NEG_INF);
+            }
+        }
+    }
+
+    #[test]
+    fn striped_profile_rows_match_matrix() {
+        let ms = MatrixScoring::blosum62();
+        let s = b"MKVLAWQHKRW";
+        let mut prof = StripedProfile::new(s, &ms, 4);
+        for c in [b'W', b'A', b'X', b'*'] {
+            let row: Vec<i16> = prof.row(c).to_vec();
+            for (q, &sc) in s.iter().enumerate() {
+                assert_eq!(row[prof.index_of(q)], ms.matrix.score(sc, c), "q={q} c={c}");
             }
         }
     }

@@ -23,20 +23,12 @@
 //! the oldest and drain out first under pressure.
 
 use genomedsm_batch::Hit;
+use genomedsm_core::{fnv1a, FNV_OFFSET};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
 
-const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
+/// Offset basis of the second, independent FNV-1a stream.
 const FNV_OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
-}
 
 /// Content digest of one query: two independent 64-bit FNV-1a streams
 /// plus the exact length.
@@ -50,7 +42,7 @@ impl QueryKey {
     /// Digests the query bytes.
     pub fn of(query: &[u8]) -> Self {
         Self {
-            digest: (fnv1a(FNV_OFFSET_A, query), fnv1a(FNV_OFFSET_B, query)),
+            digest: (fnv1a(FNV_OFFSET, query), fnv1a(FNV_OFFSET_B, query)),
             len: query.len() as u64,
         }
     }

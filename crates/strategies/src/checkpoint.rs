@@ -35,6 +35,7 @@
 //! meta that publishes it, a torn death loses at most the last
 //! unpublished unit — which the adopter then recomputes.
 
+use genomedsm_core::{fnv1a, FNV_OFFSET};
 use genomedsm_dsm::{DsmData, DsmError, FaultInjector, GlobalVec, LinkMsg, Node, TransmitFate};
 use std::fmt;
 use std::fs::File;
@@ -801,20 +802,6 @@ pub fn run_elastic<R: Default>(
 /// Footer magic of a complete checkpoint/saved-column file.
 pub const FILE_MAGIC: u64 = 0x4753_4d43_4b50_5431; // "GSMCKPT1"
 
-/// 64-bit FNV-1a over `bytes`, seeded by the running `state` (start from
-/// [`FNV_OFFSET`]).
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into a running FNV-1a state.
-pub fn fnv1a_fold(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
-}
-
 /// Streaming crash-safe file writer: bytes go to `<path>.tmp` while a
 /// running length and FNV-1a checksum accumulate; [`finish`] appends the
 /// `payload_len | checksum | magic` footer, fsyncs, and atomically
@@ -850,7 +837,7 @@ impl AtomicFileWriter {
     pub fn write_all(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.out.write_all(bytes)?;
         self.len += bytes.len() as u64;
-        self.fnv = fnv1a_fold(self.fnv, bytes);
+        self.fnv = fnv1a(self.fnv, bytes);
         Ok(())
     }
 
@@ -926,7 +913,7 @@ pub fn read_verified(path: &Path) -> io::Result<Vec<u8>> {
             "checkpoint footer claims {len} payload bytes, file has {body}"
         )));
     }
-    let got = fnv1a_fold(FNV_OFFSET, &bytes[..body]);
+    let got = fnv1a(FNV_OFFSET, &bytes[..body]);
     if got != fnv {
         return Err(corrupt(format!(
             "checkpoint checksum mismatch: footer {fnv:#018x}, computed {got:#018x}"

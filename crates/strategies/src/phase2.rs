@@ -11,7 +11,6 @@
 //! the end.
 
 use crate::checkpoint::{merged_roles, StrategyError, StrategyResult};
-use crate::Phase1Outcome;
 use genomedsm_core::nw::{align_region, RegionAlignment};
 use genomedsm_core::{LocalRegion, Scoring};
 use genomedsm_dsm::{DsmConfig, DsmSystem, NodeStats};
@@ -302,17 +301,6 @@ pub fn phase2_block_mapping(
         host_wall: t0.elapsed(),
         per_node: run.stats,
     })
-}
-
-/// Convenience: runs phase 1 (any strategy) then phase 2 over its regions.
-pub fn phase2_from_phase1(
-    s: &[u8],
-    t: &[u8],
-    phase1: &Phase1Outcome,
-    scoring: &Scoring,
-    nprocs: usize,
-) -> StrategyResult<Phase2Outcome> {
-    phase2_scattered(s, t, &phase1.regions, scoring, nprocs)
 }
 
 #[cfg(test)]
