@@ -69,37 +69,11 @@ impl AffineScoring {
 const NEG: i32 = i32::MIN / 4;
 
 /// Best local alignment score with affine gaps, in linear space, plus its
-/// end point (matrix coordinates; `(0, 0)` when everything is zero).
+/// end point (matrix coordinates; `(0, 0)` when everything is zero) — the
+/// score and end point of [`sw_score_affine`] with no hit counting.
 pub fn sw_affine_score(s: &[u8], t: &[u8], scoring: &AffineScoring) -> (i32, (usize, usize)) {
-    scoring.validate();
-    let n = t.len();
-    // H = best ending in a match/mismatch or fresh start; E = gap in s
-    // (consuming t); F = gap in t (consuming s).
-    let mut h_prev = vec![0i32; n + 1];
-    let mut e_prev = vec![NEG; n + 1];
-    let mut h_cur = vec![0i32; n + 1];
-    let mut e_cur = vec![NEG; n + 1];
-    let mut best = 0;
-    let mut end = (0usize, 0usize);
-    for (i, &sc) in s.iter().enumerate() {
-        let mut f = NEG;
-        h_cur[0] = 0;
-        for j in 1..=n {
-            let e = (e_prev[j] + scoring.gap_extend).max(h_prev[j] + scoring.gap_open);
-            f = (f + scoring.gap_extend).max(h_cur[j - 1] + scoring.gap_open);
-            let diag = h_prev[j - 1] + scoring.subst(sc, t[j - 1]);
-            let h = diag.max(e).max(f).max(0);
-            h_cur[j] = h;
-            e_cur[j] = e;
-            if h > best {
-                best = h;
-                end = (i + 1, j);
-            }
-        }
-        std::mem::swap(&mut h_prev, &mut h_cur);
-        std::mem::swap(&mut e_prev, &mut e_cur);
-    }
-    (best, end)
+    let r = sw_score_affine(s, t, scoring, 0);
+    (r.best_score, r.best_end)
 }
 
 /// Runs the affine-gap (Gotoh) SW recurrence over `s` (rows) and `t`

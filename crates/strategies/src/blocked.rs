@@ -15,13 +15,13 @@
 //! Table 3's *blocking multiplier* `a × h` maps to `blocks = a·P` and
 //! `bands = h·P`.
 
-use crate::checkpoint::{run_elastic, run_with_takeover, FlowChannel, Ledger};
+use crate::checkpoint::{run_elastic, run_with_takeover, Ledger, LedgerEndpoint, Units};
 use crate::hcell_data::HCellData;
-use crate::ring::ChunkRing;
+use crate::ring::{BorderEndpoint, ChunkRing};
 use crate::Phase1Outcome;
 use genomedsm_core::{finalize_queue, HCell, HeuristicParams, LocalRegion, RowKernel, Scoring};
-use genomedsm_dsm::{DsmConfig, DsmError, DsmSystem, Node};
-use std::time::Instant;
+use genomedsm_dsm::{DsmConfig, DsmSystem, Node};
+use std::time::{Duration, Instant};
 
 /// How the matrix is cut into bands and blocks.
 ///
@@ -84,7 +84,7 @@ pub struct BlockedConfig {
     pub dsm: DsmConfig,
     /// Virtual cost of one heuristic cell update (era-calibrated default,
     /// see [`crate::costs`]).
-    pub cell_cost: std::time::Duration,
+    pub cell_cost: Duration,
 }
 
 impl BlockedConfig {
@@ -116,7 +116,7 @@ impl BlockedConfig {
 
 /// 1-based inclusive bounds of slice `k` of `total` items cut into
 /// `parts`.
-fn slice_bounds(total: usize, parts: usize, k: usize) -> (usize, usize) {
+pub(crate) fn slice_bounds(total: usize, parts: usize, k: usize) -> (usize, usize) {
     (k * total / parts + 1, (k + 1) * total / parts)
 }
 
@@ -160,6 +160,103 @@ pub(crate) fn process_block(
     prev
 }
 
+/// The read-only inputs of strategy 2's wavefront.
+struct BandWave<'a> {
+    kernel: RowKernel,
+    s: &'a [u8],
+    t: &'a [u8],
+    band_bounds: Vec<(usize, usize)>,
+    block_bounds: Vec<(usize, usize)>,
+    /// Longest border chunk: the widest block plus its corner.
+    max_chunk: usize,
+    nprocs: usize,
+    cell_cost: Duration,
+}
+
+impl BandWave<'_> {
+    /// Executes every band whose role is in `roles`, in ascending band
+    /// order — the wavefront order: band `b` consumes only band `b-1`'s
+    /// chunks. Band `b` belongs to role `b mod P`, which pops its top
+    /// border from ring `role - 1` (mod P) and pushes its bottom row on
+    /// ring `role`. A role's pops and pushes are dense: every band but
+    /// the first pops and every band but the last pushes, one chunk per
+    /// block.
+    fn run_bands<E: BorderEndpoint<HCellData> + ?Sized>(
+        &self,
+        node: &mut Node,
+        ends: &mut E,
+        roles: &[usize],
+        queue: &mut Vec<LocalRegion>,
+    ) -> Result<(), E::Error> {
+        let (m, n) = (self.s.len(), self.t.len());
+        let nprocs = self.nprocs;
+        let bands = self.band_bounds.len();
+        let blocks = self.block_bounds.len();
+        let mut pops = vec![0u64; nprocs];
+        let mut pushes = vec![0u64; nprocs];
+        for band in 0..bands {
+            let role = band % nprocs;
+            if !roles.contains(&role) {
+                continue;
+            }
+            let (i0, i1) = self.band_bounds[band];
+            let h = (i1 + 1).saturating_sub(i0);
+            let mut left_col = vec![HCell::fresh(); h + 1];
+            for k in 0..blocks {
+                let (c_lo, c_hi) = self.block_bounds[k];
+                let width = (c_hi + 1).saturating_sub(c_lo);
+                let top: Vec<HCell> = if band == 0 {
+                    vec![HCell::fresh(); width + 1]
+                } else {
+                    let (ring, ord) = ((role + nprocs - 1) % nprocs, pops[role]);
+                    pops[role] += 1;
+                    ends.pop(node, ring, ord, width + 1)?
+                        .into_iter()
+                        .map(HCell::from)
+                        .collect()
+                };
+                let bottom = process_block(
+                    &self.kernel,
+                    self.s,
+                    self.t,
+                    i0,
+                    i1,
+                    c_lo,
+                    width,
+                    top,
+                    &mut left_col,
+                    queue,
+                );
+                node.advance(crate::costs::cells(self.cell_cost, h * width));
+                ends.unit_done(node)?;
+                // Right edge of the matrix: flush open candidates row by
+                // row (mirrors the serial driver's per-row flush).
+                if k + 1 == blocks {
+                    for r in 1..=h {
+                        self.kernel.flush_open(&left_col[r], i0 + r - 1, n, queue);
+                    }
+                }
+                if band + 1 < bands {
+                    let chunk: Vec<HCellData> = bottom.iter().copied().map(HCellData).collect();
+                    let ord = pushes[role];
+                    pushes[role] += 1;
+                    ends.push(node, role, ord, &chunk)?;
+                } else {
+                    // Bottom row of the matrix: flush (column n excluded,
+                    // the right-edge rule above already covered it).
+                    for (idx, cell) in bottom.iter().enumerate().skip(1) {
+                        let j = c_lo - 1 + idx;
+                        if j < n {
+                            self.kernel.flush_open(cell, m, j, queue);
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Runs strategy 2 on a simulated cluster.
 pub fn heuristic_block_align(
     s: &[u8],
@@ -169,110 +266,40 @@ pub fn heuristic_block_align(
     config: &BlockedConfig,
 ) -> Phase1Outcome {
     let t0 = Instant::now();
-    let nprocs = config.dsm.nprocs;
-    let cell_cost = config.cell_cost;
-    let kernel = RowKernel::new(*scoring, *params);
-    let m = s.len();
-    let n = t.len();
-    let band_bounds = config.plan.bounds(m, config.bands);
-    let block_bounds = config.plan.bounds(n, config.blocks);
-    let bands = band_bounds.len();
-    let blocks = block_bounds.len();
-    let band_bounds = &band_bounds;
-    let block_bounds = &block_bounds;
+    let block_bounds = config.plan.bounds(t.len(), config.blocks);
     let max_chunk = block_bounds
         .iter()
         .map(|&(lo, hi)| (hi + 1).saturating_sub(lo) + 1)
         .max()
         .unwrap_or(1);
+    let wave = BandWave {
+        kernel: RowKernel::new(*scoring, *params),
+        s,
+        t,
+        band_bounds: config.plan.bounds(s.len(), config.bands),
+        block_bounds,
+        max_chunk,
+        nprocs: config.dsm.nprocs,
+        cell_cost: config.cell_cost,
+    };
+    let nprocs = wave.nprocs;
 
     let run = DsmSystem::run_wire(config.dsm.clone(), |node: &mut Node| {
         if node.supervised() {
-            return crate::wire::WireRegions(tolerant_worker(
-                node,
-                &kernel,
-                s,
-                t,
-                band_bounds,
-                block_bounds,
-                nprocs,
-                max_chunk,
-                cell_cost,
-            ));
+            return crate::wire::WireRegions(tolerant_worker(node, &wave));
         }
-        let p = node.id();
         // One ring per ordered neighbour pair (q -> q+1 mod P); ring `q`
         // is produced by q. Capacity = one band of blocks, so a producer
         // can finish a whole band before its consumer starts.
         let mut rings: Vec<ChunkRing<HCellData>> = (0..nprocs)
             .map(|q| {
-                ChunkRing::new(
-                    node,
-                    blocks,
-                    max_chunk,
-                    q,
-                    (2 * q) as u32,
-                    (2 * q + 1) as u32,
-                )
+                let cv = (2 * q) as u32;
+                ChunkRing::new(node, wave.block_bounds.len(), max_chunk, q, cv, cv + 1)
             })
             .collect();
         node.barrier();
-
         let mut queue: Vec<LocalRegion> = Vec::new();
-        let from_ring = (p + nprocs - 1) % nprocs;
-        let mut band = p;
-        while band < bands {
-            let (i0, i1) = band_bounds[band];
-            let h = (i1 + 1).saturating_sub(i0);
-            let mut left_col = vec![HCell::fresh(); h + 1];
-            for k in 0..blocks {
-                let (c_lo, c_hi) = block_bounds[k];
-                let width = (c_hi + 1).saturating_sub(c_lo);
-                let top: Vec<HCell> = if band == 0 {
-                    vec![HCell::fresh(); width + 1]
-                } else {
-                    rings[from_ring]
-                        .pop(node, width + 1)
-                        .into_iter()
-                        .map(HCell::from)
-                        .collect()
-                };
-                let bottom = process_block(
-                    &kernel,
-                    s,
-                    t,
-                    i0,
-                    i1,
-                    c_lo,
-                    width,
-                    top,
-                    &mut left_col,
-                    &mut queue,
-                );
-                node.advance(crate::costs::cells(cell_cost, h * width));
-                // Right edge of the matrix: flush open candidates row by
-                // row (mirrors the serial driver's per-row flush).
-                if k + 1 == blocks {
-                    for r in 1..=h {
-                        kernel.flush_open(&left_col[r], i0 + r - 1, n, &mut queue);
-                    }
-                }
-                if band + 1 < bands {
-                    let chunk: Vec<HCellData> = bottom.iter().copied().map(HCellData).collect();
-                    rings[p].push(node, &chunk);
-                } else {
-                    // Bottom row of the matrix: flush (column n excluded,
-                    // the right-edge rule above already covered it).
-                    for (idx, cell) in bottom.iter().enumerate().skip(1) {
-                        let j = c_lo - 1 + idx;
-                        if j < n {
-                            kernel.flush_open(cell, m, j, &mut queue);
-                        }
-                    }
-                }
-            }
-            band += nprocs;
-        }
+        let Ok(()) = wave.run_bands(node, rings.as_mut_slice(), &[node.id()], &mut queue);
         node.barrier();
         crate::wire::WireRegions(queue)
     });
@@ -291,161 +318,45 @@ pub fn heuristic_block_align(
 /// chunks flow through a per-role [`Ledger`] log instead of ring slots.
 /// A role here is a node's cyclic band set; a surviving node adopts a
 /// dead role and re-executes its bands, replaying recorded chunks. The
-/// plain path above is untouched when supervision is off.
-#[allow(clippy::too_many_arguments)]
-fn tolerant_worker(
-    node: &mut Node,
-    kernel: &RowKernel,
-    s: &[u8],
-    t: &[u8],
-    band_bounds: &[(usize, usize)],
-    block_bounds: &[(usize, usize)],
-    nprocs: usize,
-    max_chunk: usize,
-    cell_cost: std::time::Duration,
-) -> Vec<LocalRegion> {
-    let bands = band_bounds.len();
-    let blocks = block_bounds.len();
+/// band loop is the plain path's; only the endpoint differs.
+fn tolerant_worker(node: &mut Node, wave: &BandWave<'_>) -> Vec<LocalRegion> {
+    let nprocs = wave.nprocs;
+    let bands = wave.band_bounds.len();
+    let blocks = wave.block_bounds.len();
     // Role r pushes at most one chunk per block of each of its bands.
     let log_entries = bands.div_ceil(nprocs) * blocks;
-    let ledger = Ledger::<HCellData>::new(node, nprocs, log_entries, max_chunk);
+    let ledger = Ledger::<HCellData>::new(node, nprocs, log_entries, wave.max_chunk);
     node.barrier();
-    let crash_at = node.crash_point();
-    let mut units = 0u64;
+    let mut units = Units::new(node);
 
     // One work unit is one band×block tile; a scheduled rejoin's virtual
     // downtime is priced at that granularity.
-    let tile_cells = (s.len() / bands.max(1)).max(1) * (t.len() / blocks.max(1)).max(1);
-    let unit_time = cell_cost.saturating_mul(tile_cells.min(u32::MAX as usize) as u32);
+    let tile_cells = (wave.s.len() / bands.max(1)).max(1) * (wave.t.len() / blocks.max(1)).max(1);
+    let unit_time = wave
+        .cell_cost
+        .saturating_mul(tile_cells.min(u32::MAX as usize) as u32);
     // A single workload wrapped in the elastic driver: a victim with a
     // scheduled rejoin is re-admitted at the closing boundary, so the run
     // always ends with full membership.
     let mut rounds = run_elastic(node, 1, nprocs.max(1) + 2, unit_time, |node, _| {
         run_with_takeover(node, nprocs, |node, execute, resume, queue| {
-            run_bands(
+            let mut ends = LedgerEndpoint::new(
                 node,
                 &ledger,
-                kernel,
-                s,
-                t,
-                band_bounds,
-                block_bounds,
-                nprocs,
-                cell_cost,
+                0..nprocs,
+                0,
+                blocks as u64,
                 execute,
                 resume,
-                crash_at,
                 &mut units,
-                queue,
-            )
+            );
+            wave.run_bands(node, &mut ends, execute, queue)
         })
     });
     match rounds.pop().flatten() {
         Some(qs) => qs.into_iter().flatten().collect(),
         None => Vec::new(), // this worker fail-stopped
     }
-}
-
-/// Executes every band whose role is in `execute`, in ascending band
-/// order — the wavefront order: band `b` consumes only band `b-1`'s
-/// chunks, which are either recorded earlier in this very loop (internal
-/// role) or produced in real time by a live external role.
-#[allow(clippy::too_many_arguments)]
-fn run_bands(
-    node: &mut Node,
-    ledger: &Ledger<HCellData>,
-    kernel: &RowKernel,
-    s: &[u8],
-    t: &[u8],
-    band_bounds: &[(usize, usize)],
-    block_bounds: &[(usize, usize)],
-    nprocs: usize,
-    cell_cost: std::time::Duration,
-    execute: &[usize],
-    resume: bool,
-    crash_at: Option<u64>,
-    units: &mut u64,
-    queue: &mut Vec<LocalRegion>,
-) -> Result<(), DsmError> {
-    let m = s.len();
-    let n = t.len();
-    let bands = band_bounds.len();
-    let blocks = block_bounds.len();
-    // Ring q carries chunks from role q to role (q+1) mod P.
-    let mut channels: Vec<FlowChannel> = (0..nprocs)
-        .map(|q| {
-            FlowChannel::new(
-                node,
-                ledger,
-                q,
-                (q + 1) % nprocs,
-                (2 * q) as u32,
-                (2 * q + 1) as u32,
-                blocks as u64,
-                resume,
-            )
-        })
-        .collect();
-    // Per-role running chunk ordinals (pops and pushes are dense within
-    // a role: every band but the first pops, every band but the last
-    // pushes, in ascending band order).
-    let mut pops = vec![0u64; nprocs];
-    let mut pushes = vec![0u64; nprocs];
-    for band in 0..bands {
-        let role = band % nprocs;
-        if !execute.contains(&role) {
-            continue;
-        }
-        let in_ring = (role + nprocs - 1) % nprocs;
-        let (i0, i1) = band_bounds[band];
-        let h = (i1 + 1).saturating_sub(i0);
-        let mut left_col = vec![HCell::fresh(); h + 1];
-        for k in 0..blocks {
-            let (c_lo, c_hi) = block_bounds[k];
-            let width = (c_hi + 1).saturating_sub(c_lo);
-            let top: Vec<HCell> = if band == 0 {
-                vec![HCell::fresh(); width + 1]
-            } else {
-                let ord = pops[role];
-                pops[role] += 1;
-                channels[in_ring]
-                    .consume(node, ledger, execute, ord, width + 1)?
-                    .into_iter()
-                    .map(HCell::from)
-                    .collect()
-            };
-            let bottom =
-                process_block(kernel, s, t, i0, i1, c_lo, width, top, &mut left_col, queue);
-            node.advance(crate::costs::cells(cell_cost, h * width));
-            *units += 1;
-            if crash_at == Some(*units) {
-                node.fail_stop();
-                return Err(DsmError::Disconnected("injected fail-stop"));
-            }
-            if (*units).is_multiple_of(64) {
-                node.heartbeat();
-            }
-            if k + 1 == blocks {
-                for r in 1..=h {
-                    kernel.flush_open(&left_col[r], i0 + r - 1, n, queue);
-                }
-            }
-            if band + 1 < bands {
-                let chunk: Vec<HCellData> = bottom.iter().copied().map(HCellData).collect();
-                let ord = pushes[role];
-                pushes[role] += 1;
-                channels[role].produce(node, ledger, execute, ord, &chunk)?;
-            } else {
-                for (idx, cell) in bottom.iter().enumerate().skip(1) {
-                    let j = c_lo - 1 + idx;
-                    if j < n {
-                        kernel.flush_open(cell, m, j, queue);
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -35,6 +35,7 @@
 //! meta that publishes it, a torn death loses at most the last
 //! unpublished unit — which the adopter then recomputes.
 
+use crate::ring::BorderEndpoint;
 use genomedsm_core::{fnv1a, FNV_OFFSET};
 use genomedsm_dsm::{DsmData, DsmError, FaultInjector, GlobalVec, LinkMsg, Node, TransmitFate};
 use std::fmt;
@@ -559,6 +560,125 @@ impl FlowChannel {
             }
         }
         Ok(data)
+    }
+}
+
+/// Work-unit counter of a tolerant worker: fail-stops at the fault
+/// plan's crash point and heartbeats every 64 units.
+#[derive(Debug)]
+pub(crate) struct Units {
+    done: u64,
+    crash_at: Option<u64>,
+}
+
+impl Units {
+    /// A fresh counter armed with `node`'s crash point.
+    pub(crate) fn new(node: &Node) -> Self {
+        Self {
+            done: 0,
+            crash_at: node.crash_point(),
+        }
+    }
+
+    /// Counts one finished unit.
+    pub(crate) fn tick(&mut self, node: &mut Node) -> Result<(), DsmError> {
+        self.done += 1;
+        if self.crash_at == Some(self.done) {
+            node.fail_stop();
+            return Err(DsmError::Disconnected("injected fail-stop"));
+        }
+        if self.done.is_multiple_of(64) {
+            node.heartbeat();
+        }
+        Ok(())
+    }
+}
+
+/// The tolerant [`BorderEndpoint`]: one [`FlowChannel`] per ring this
+/// node touches, over the push logs of `ledger`, on behalf of the merged
+/// role set `roles`; each finished unit ticks [`Units`].
+pub(crate) struct LedgerEndpoint<'a, T: DsmData> {
+    ledger: &'a Ledger<T>,
+    /// Indexed by ring (producer role); `None` for rings not opened.
+    channels: Vec<Option<FlowChannel>>,
+    roles: &'a [usize],
+    units: &'a mut Units,
+}
+
+impl<'a, T: DsmData + Copy> LedgerEndpoint<'a, T> {
+    /// Opens `rings` (ring `q` runs from role `q` to `(q + 1) % nprocs`
+    /// on cvs `cv_base + 2q` and `cv_base + 2q + 1`), in the given order.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        node: &mut Node,
+        ledger: &'a Ledger<T>,
+        rings: impl IntoIterator<Item = usize>,
+        cv_base: u32,
+        capacity: u64,
+        roles: &'a [usize],
+        resume: bool,
+        units: &'a mut Units,
+    ) -> Self {
+        let nprocs = node.nprocs();
+        let mut channels: Vec<Option<FlowChannel>> = (0..nprocs).map(|_| None).collect();
+        for q in rings {
+            let cv = cv_base + 2 * q as u32;
+            channels[q] = Some(FlowChannel::new(
+                node,
+                ledger,
+                q,
+                (q + 1) % nprocs,
+                cv,
+                cv + 1,
+                capacity,
+                resume,
+            ));
+        }
+        Self {
+            ledger,
+            channels,
+            roles,
+            units,
+        }
+    }
+
+    fn channel(&mut self, ring: usize) -> &mut FlowChannel {
+        match self.channels[ring].as_mut() {
+            Some(ch) => ch,
+            None => panic!("ring {ring} was not opened"),
+        }
+    }
+}
+
+impl<T: DsmData + Copy> BorderEndpoint<T> for LedgerEndpoint<'_, T> {
+    type Error = DsmError;
+
+    fn pop(
+        &mut self,
+        node: &mut Node,
+        ring: usize,
+        ordinal: u64,
+        len: usize,
+    ) -> Result<Vec<T>, DsmError> {
+        let (ledger, roles) = (self.ledger, self.roles);
+        self.channel(ring)
+            .consume(node, ledger, roles, ordinal, len)
+    }
+
+    fn push(
+        &mut self,
+        node: &mut Node,
+        ring: usize,
+        ordinal: u64,
+        data: &[T],
+    ) -> Result<(), DsmError> {
+        let (ledger, roles) = (self.ledger, self.roles);
+        self.channel(ring)
+            .produce(node, ledger, roles, ordinal, data)
+    }
+
+    fn unit_done(&mut self, node: &mut Node) -> Result<(), DsmError> {
+        self.units.tick(node)
     }
 }
 

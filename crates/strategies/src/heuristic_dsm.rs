@@ -14,13 +14,13 @@
 //!
 //! Barriers are used only at the beginning and end of the computation.
 
-use crate::checkpoint::{run_elastic, run_with_takeover, FlowChannel, Ledger};
+use crate::checkpoint::{run_elastic, run_with_takeover, Ledger, LedgerEndpoint, Units};
 use crate::hcell_data::HCellData;
-use crate::ring::ChunkRing;
+use crate::ring::{BorderEndpoint, ChunkRing};
 use crate::Phase1Outcome;
 use genomedsm_core::{finalize_queue, HCell, HeuristicParams, LocalRegion, RowKernel, Scoring};
-use genomedsm_dsm::{DsmConfig, DsmError, DsmSystem, Node};
-use std::time::Instant;
+use genomedsm_dsm::{DsmConfig, DsmSystem, Node};
+use std::time::{Duration, Instant};
 
 /// Configuration of the non-blocked heuristic strategy.
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ pub struct HeuristicDsmConfig {
     pub dsm: DsmConfig,
     /// Virtual cost of one heuristic cell update (era-calibrated default,
     /// see [`crate::costs`]).
-    pub cell_cost: std::time::Duration,
+    pub cell_cost: Duration,
 }
 
 impl HeuristicDsmConfig {
@@ -50,6 +50,128 @@ fn column_slice(n: usize, nprocs: usize, p: usize) -> (usize, usize) {
     (lo, hi)
 }
 
+/// The read-only inputs of strategy 1's wavefront.
+struct RowWave<'a> {
+    kernel: RowKernel,
+    s: &'a [u8],
+    t: &'a [u8],
+    nprocs: usize,
+    cell_cost: Duration,
+}
+
+impl<'a> RowWave<'a> {
+    fn new(
+        s: &'a [u8],
+        t: &'a [u8],
+        scoring: &Scoring,
+        params: &HeuristicParams,
+        config: &HeuristicDsmConfig,
+    ) -> Self {
+        Self {
+            kernel: RowKernel::new(*scoring, *params),
+            s,
+            t,
+            nprocs: config.dsm.nprocs,
+            cell_cost: config.cell_cost,
+        }
+    }
+
+    /// Virtual time of one work unit (one row of a column slice), the
+    /// price of a scheduled rejoin's downtime.
+    fn unit_time(&self) -> Duration {
+        self.cell_cost
+            .saturating_mul((self.t.len() / self.nprocs.max(1)).max(1) as u32)
+    }
+
+    /// Role `r`'s complete row loop. Per row: receive the left-border
+    /// cell from role `r - 1` (role 0 uses the zero column), compute the
+    /// slice, and hand the slice's last cell to role `r + 1` — one value
+    /// per row, the strategy's signature. The last role instead flushes
+    /// candidates running off the matrix's right edge.
+    fn run_role<E: BorderEndpoint<HCellData> + ?Sized>(
+        &self,
+        node: &mut Node,
+        ends: &mut E,
+        r: usize,
+        queue: &mut Vec<LocalRegion>,
+    ) -> Result<(), E::Error> {
+        let (m, n) = (self.s.len(), self.t.len());
+        let (j_lo, j_hi) = column_slice(n, self.nprocs, r);
+        // A slice can be empty when nprocs > n; such a role still relays
+        // border cells so the pipeline stays connected.
+        let width = (j_hi + 1).saturating_sub(j_lo);
+        let mut prev = vec![HCell::fresh(); width + 1];
+        let mut cur = vec![HCell::fresh(); width + 1];
+        for i in 1..=m {
+            let row = (i - 1) as u64;
+            cur[0] = match r {
+                0 => HCell::fresh(),
+                _ => ends.pop(node, r - 1, row, 1)?[0].into(),
+            };
+            if width > 0 {
+                self.kernel.process_row_segment(
+                    i,
+                    self.s[i - 1],
+                    self.t,
+                    j_lo,
+                    &prev,
+                    &mut cur,
+                    queue,
+                );
+                node.advance(crate::costs::cells(self.cell_cost, width));
+            }
+            ends.unit_done(node)?;
+            if r + 1 < self.nprocs {
+                ends.push(node, r, row, &[HCellData(cur[width])])?;
+            } else {
+                self.kernel.flush_open(&cur[width], i, n, queue);
+            }
+            std::mem::swap(&mut prev, &mut cur);
+        }
+        // Bottom row: flush open candidates. Column n is excluded — the
+        // right-edge rule above already flushed it on the last role.
+        for (k, cell) in prev.iter().enumerate().skip(1) {
+            let j = j_lo - 1 + k;
+            if j < n {
+                self.kernel.flush_open(cell, m, j, queue);
+            }
+        }
+        Ok(())
+    }
+
+    /// One takeover-capable pass over `ledger`: the node's merged roles
+    /// run in ascending order (role r's input producer is r-1, so earlier
+    /// merged roles fully feed later ones through the log) and
+    /// [`run_with_takeover`] re-executes roles whose node died. `cv_base`
+    /// offsets the flow cv ids so campaign rounds sharing a node never
+    /// alias a prior round's leftover signal surplus. Empty when this
+    /// node fail-stopped.
+    fn takeover_pass(
+        &self,
+        node: &mut Node,
+        ledger: &Ledger<HCellData>,
+        cv_base: u32,
+        units: &mut Units,
+    ) -> Vec<LocalRegion> {
+        let nprocs = self.nprocs;
+        let pieces = run_with_takeover(node, nprocs, |node, execute, resume, queue| {
+            for &r in execute {
+                let rings = r
+                    .checked_sub(1)
+                    .into_iter()
+                    .chain((r + 1 < nprocs).then_some(r));
+                let mut ends =
+                    LedgerEndpoint::new(node, ledger, rings, cv_base, 1, execute, resume, units);
+                self.run_role(node, &mut ends, r, queue)?;
+            }
+            Ok(())
+        });
+        pieces
+            .map(|qs| qs.into_iter().flatten().collect())
+            .unwrap_or_default()
+    }
+}
+
 /// Runs strategy 1 on a simulated cluster and returns the finalized queue
 /// of candidate alignments plus execution statistics.
 pub fn heuristic_align_dsm(
@@ -60,65 +182,21 @@ pub fn heuristic_align_dsm(
     config: &HeuristicDsmConfig,
 ) -> Phase1Outcome {
     let t0 = Instant::now();
-    let nprocs = config.dsm.nprocs;
-    let cell_cost = config.cell_cost;
-    let kernel = RowKernel::new(*scoring, *params);
-    let m = s.len();
-    let n = t.len();
+    let wave = RowWave::new(s, t, scoring, params, config);
+    let nprocs = wave.nprocs;
 
     let run = DsmSystem::run_wire(config.dsm.clone(), |node| {
         if node.supervised() {
-            return crate::wire::WireRegions(tolerant_worker(
-                node, &kernel, s, t, nprocs, cell_cost,
-            ));
+            return crate::wire::WireRegions(tolerant_worker(node, &wave));
         }
-        let p = node.id();
         // Border rings: ring `b` moves cells from processor b to b+1.
         // Collective allocation: every node builds every ring handle.
         let mut rings: Vec<ChunkRing<HCellData>> = (0..nprocs.saturating_sub(1))
             .map(|b| ChunkRing::new(node, 1, 1, b, (2 * b) as u32, (2 * b + 1) as u32))
             .collect();
         node.barrier();
-
-        let (j_lo, j_hi) = column_slice(n, nprocs, p);
-        // A slice can be empty when nprocs > n; such a node still relays
-        // border cells so the pipeline stays connected.
-        let width = (j_hi + 1).saturating_sub(j_lo);
         let mut queue: Vec<LocalRegion> = Vec::new();
-        let mut prev = vec![HCell::fresh(); width + 1];
-        let mut cur = vec![HCell::fresh(); width + 1];
-
-        for i in 1..=m {
-            // Receive this row's left-border cell from the left neighbour
-            // (or the zero column if we are processor 0).
-            cur[0] = if p == 0 {
-                HCell::fresh()
-            } else {
-                rings[p - 1].pop(node, 1)[0].into()
-            };
-            if width > 0 {
-                kernel.process_row_segment(i, s[i - 1], t, j_lo, &prev, &mut cur, &mut queue);
-                node.advance(crate::costs::cells(cell_cost, width));
-            }
-            // Pass our border cell (the slice's last column) to the right
-            // neighbour, one value per row — the strategy's signature.
-            if p + 1 < nprocs {
-                rings[p].push(node, &[HCellData(cur[width])]);
-            } else {
-                // Rightmost column of the whole matrix: flush candidates
-                // running off the right edge (mirrors the serial driver).
-                kernel.flush_open(&cur[width], i, n, &mut queue);
-            }
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        // Bottom row: flush open candidates. Column n is excluded — the
-        // right-edge rule above already flushed it on the last processor.
-        for (k, cell) in prev.iter().enumerate().skip(1) {
-            let j = j_lo - 1 + k;
-            if j < n {
-                kernel.flush_open(cell, m, j, &mut queue);
-            }
-        }
+        let Ok(()) = wave.run_role(node, rings.as_mut_slice(), node.id(), &mut queue);
         node.barrier();
         crate::wire::WireRegions(queue)
     });
@@ -142,7 +220,7 @@ pub struct CampaignRound {
     /// Virtual wall of the round: the slowest node's elapsed virtual
     /// time across the workload, its boundary padding, and any rejoin
     /// downtime charged at the following boundary.
-    pub wall: std::time::Duration,
+    pub wall: Duration,
 }
 
 /// Outcome of [`heuristic_campaign`].
@@ -153,7 +231,7 @@ pub struct CampaignOutcome {
     /// Final per-node DSM statistics (cumulative over the campaign).
     pub per_node: Vec<genomedsm_dsm::NodeStats>,
     /// Real host time of the whole campaign.
-    pub host_wall: std::time::Duration,
+    pub host_wall: Duration,
 }
 
 /// Runs `rounds` back-to-back strategy-1 workloads on one supervised
@@ -175,40 +253,23 @@ pub fn heuristic_campaign(
     rounds: usize,
 ) -> CampaignOutcome {
     let t0 = Instant::now();
-    let nprocs = config.dsm.nprocs;
-    let cell_cost = config.cell_cost;
-    let kernel = RowKernel::new(*scoring, *params);
-    let m = s.len();
-    let unit_time = cell_cost.saturating_mul((t.len() / nprocs.max(1)).max(1) as u32);
+    let wave = RowWave::new(s, t, scoring, params, config);
+    let nprocs = wave.nprocs;
     // Per-round barrier budget: 1 for the ledger barrier plus the
     // takeover sweep's worst case of 1 + (nprocs − 1) rounds.
     let budget = nprocs.max(1) + 2;
 
     let run = DsmSystem::run(config.dsm.clone(), |node| {
         assert!(node.supervised(), "elastic campaigns require supervision");
-        let crash_at = node.crash_point();
-        let mut units = 0u64;
-        let mut marks: Vec<std::time::Duration> = Vec::with_capacity(rounds + 1);
-        let per_round = run_elastic(node, rounds, budget, unit_time, |node, w| {
+        let mut units = Units::new(node);
+        let mut marks: Vec<Duration> = Vec::with_capacity(rounds + 1);
+        let per_round = run_elastic(node, rounds, budget, wave.unit_time(), |node, w| {
             marks.push(node.now());
             // Fresh ledger and cv range per round: a prior round's push
             // log or leftover ack-signal surplus must not leak forward.
-            let ledger = Ledger::<HCellData>::new(node, nprocs, m.max(1), 1);
+            let ledger = Ledger::<HCellData>::new(node, nprocs, s.len().max(1), 1);
             node.barrier();
-            let cv_base = (2 * nprocs * w) as u32;
-            let pieces = run_with_takeover(node, nprocs, |node, execute, resume, queue| {
-                for &r in execute {
-                    run_role(
-                        node, &ledger, &kernel, s, t, nprocs, cell_cost, r, cv_base, execute,
-                        resume, crash_at, &mut units, queue,
-                    )?;
-                }
-                Ok(())
-            });
-            match pieces {
-                Some(qs) => qs.into_iter().flatten().collect::<Vec<LocalRegion>>(),
-                None => Vec::new(), // dead for the rest of this round
-            }
+            wave.takeover_pass(node, &ledger, (2 * nprocs * w) as u32, &mut units)
         });
         marks.push(node.now());
         (per_round, marks)
@@ -242,141 +303,22 @@ pub fn heuristic_campaign(
 /// cells flow through a per-role [`Ledger`] log instead of ring slots,
 /// so a surviving node can adopt a dead neighbour's column slice and
 /// re-execute it, replaying the corpse's recorded input/output chunks
-/// bit-for-bit. The plain path above is untouched when supervision is
-/// off, so a fault-free unsupervised run pays nothing.
-fn tolerant_worker(
-    node: &mut Node,
-    kernel: &RowKernel,
-    s: &[u8],
-    t: &[u8],
-    nprocs: usize,
-    cell_cost: std::time::Duration,
-) -> Vec<LocalRegion> {
-    let m = s.len();
+/// bit-for-bit. The row loop is the plain path's; only the endpoint
+/// differs.
+fn tolerant_worker(node: &mut Node, wave: &RowWave<'_>) -> Vec<LocalRegion> {
     // Role r's push log holds its border cell for every row.
-    let ledger = Ledger::<HCellData>::new(node, nprocs, m.max(1), 1);
+    let ledger = Ledger::<HCellData>::new(node, wave.nprocs, wave.s.len().max(1), 1);
     node.barrier();
-    let crash_at = node.crash_point();
-    let mut units = 0u64;
-
-    // One work unit is one row of a role's column slice; a scheduled
-    // rejoin's virtual downtime is priced at that granularity.
-    let unit_time = cell_cost.saturating_mul((t.len() / nprocs.max(1)).max(1) as u32);
+    let mut units = Units::new(node);
     // A single workload wrapped in the elastic driver: a victim with a
     // scheduled rejoin is re-admitted at the closing boundary, so the run
     // always ends with full membership. Budget: the takeover sweep costs
     // at most 1 + deaths barrier rounds.
-    let mut rounds = run_elastic(node, 1, nprocs.max(1) + 2, unit_time, |node, _| {
-        // Roles execute in ascending order: role r's input producer is
-        // r-1, so earlier merged roles fully feed later ones through the
-        // log.
-        run_with_takeover(node, nprocs, |node, execute, resume, queue| {
-            for &r in execute {
-                run_role(
-                    node, &ledger, kernel, s, t, nprocs, cell_cost, r, 0, execute, resume,
-                    crash_at, &mut units, queue,
-                )?;
-            }
-            Ok(())
-        })
+    let budget = wave.nprocs.max(1) + 2;
+    let mut rounds = run_elastic(node, 1, budget, wave.unit_time(), |node, _| {
+        wave.takeover_pass(node, &ledger, 0, &mut units)
     });
-    match rounds.pop().flatten() {
-        Some(qs) => qs.into_iter().flatten().collect(),
-        None => Vec::new(), // this worker fail-stopped
-    }
-}
-
-/// One role's complete row loop on the tolerant path. `roles` is the
-/// executing node's current merged role set (decides which channel
-/// endpoints are internal); `resume` replays recorded progress;
-/// `cv_base` offsets the flow cv ids so campaign rounds sharing a node
-/// never alias a prior round's leftover signal surplus.
-#[allow(clippy::too_many_arguments)]
-fn run_role(
-    node: &mut Node,
-    ledger: &Ledger<HCellData>,
-    kernel: &RowKernel,
-    s: &[u8],
-    t: &[u8],
-    nprocs: usize,
-    cell_cost: std::time::Duration,
-    r: usize,
-    cv_base: u32,
-    roles: &[usize],
-    resume: bool,
-    crash_at: Option<u64>,
-    units: &mut u64,
-    queue: &mut Vec<LocalRegion>,
-) -> Result<(), DsmError> {
-    let m = s.len();
-    let n = t.len();
-    let (j_lo, j_hi) = column_slice(n, nprocs, r);
-    let width = (j_hi + 1).saturating_sub(j_lo);
-    let mut input = (r > 0).then(|| {
-        let b = r - 1;
-        FlowChannel::new(
-            node,
-            ledger,
-            b,
-            r,
-            cv_base + (2 * b) as u32,
-            cv_base + (2 * b + 1) as u32,
-            1,
-            resume,
-        )
-    });
-    let mut output = (r + 1 < nprocs).then(|| {
-        FlowChannel::new(
-            node,
-            ledger,
-            r,
-            r + 1,
-            cv_base + (2 * r) as u32,
-            cv_base + (2 * r + 1) as u32,
-            1,
-            resume,
-        )
-    });
-    let mut prev = vec![HCell::fresh(); width + 1];
-    let mut cur = vec![HCell::fresh(); width + 1];
-    for i in 1..=m {
-        cur[0] = match input.as_mut() {
-            None => HCell::fresh(),
-            Some(ch) => ch.consume(node, ledger, roles, (i - 1) as u64, 1)?[0].into(),
-        };
-        if width > 0 {
-            kernel.process_row_segment(i, s[i - 1], t, j_lo, &prev, &mut cur, queue);
-            node.advance(crate::costs::cells(cell_cost, width));
-        }
-        *units += 1;
-        if crash_at == Some(*units) {
-            node.fail_stop();
-            return Err(DsmError::Disconnected("injected fail-stop"));
-        }
-        if (*units).is_multiple_of(64) {
-            node.heartbeat();
-        }
-        match output.as_mut() {
-            Some(ch) => ch.produce(
-                node,
-                ledger,
-                roles,
-                (i - 1) as u64,
-                &[HCellData(cur[width])],
-            )?,
-            None => kernel.flush_open(&cur[width], i, n, queue),
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    // Bottom row: flush open candidates (column n excluded — the
-    // right-edge rule already flushed it on the last role).
-    for (k, cell) in prev.iter().enumerate().skip(1) {
-        let j = j_lo - 1 + k;
-        if j < n {
-            kernel.flush_open(cell, m, j, queue);
-        }
-    }
-    Ok(())
+    rounds.pop().unwrap_or_default()
 }
 
 #[cfg(test)]

@@ -7,12 +7,23 @@
 //! | `heuristic_block` | §4.3 | [`blocked`] | bands × blocks with a blocking multiplier; border rows cross in **chunks** — approximate, much faster |
 //! | `pre_process` | §5 | [`preprocess`] | exact SW scores, no candidate tracking; result matrix of threshold hits + selected columns saved to disk |
 //! | phase 2 | §4.4 | [`phase2`] | scattered-mapping global alignment of the phase-1 regions, no locks/cvs |
-//! | rayon ports | (ablation) | [`rayon_port`] | the same blocked wavefront on plain shared memory — quantifies the DSM protocol overhead |
+//! | shared-memory port | (baseline) | [`rayon_port`] | the same blocked wavefront on plain threads — quantifies the DSM protocol overhead |
 //!
 //! All strategies drive the *same* [`genomedsm_core::RowKernel`] (or plain
 //! SW recurrence for `pre_process`) that the serial reference uses, so
 //! parallel and serial results are identical cell-for-cell; the
 //! integration tests assert exactly that.
+//!
+//! **One compute loop per strategy, two border endpoints.** Each
+//! strategy's wavefront is written once, generic over a crate-private
+//! border-endpoint trait: the plain path moves borders through
+//! [`ring::ChunkRing`]s and nothing else; with supervision on,
+//! the tolerant path moves them through the ledger-backed
+//! [`checkpoint::FlowChannel`]s, ticks a fail-stop/heartbeat hook per
+//! work unit, and runs the same loop under
+//! [`checkpoint::run_with_takeover`], the one takeover driver. Strategy 3
+//! keeps two band loops (its plain path replays from band checkpoints)
+//! around one shared band-chunk routine.
 
 #![warn(missing_docs)]
 // Index-based loops are the clearest way to write DP stencils.
@@ -35,15 +46,11 @@ pub use checkpoint::{KillPlan, StrategyError, StrategyResult};
 pub use heuristic_dsm::{
     heuristic_align_dsm, heuristic_campaign, CampaignOutcome, CampaignRound, HeuristicDsmConfig,
 };
-pub use phase2::{
-    phase2_block_mapping, phase2_scattered, phase2_scattered_pool, phase2_scattered_with,
-};
+pub use phase2::{phase2_scattered, phase2_scattered_pool, phase2_scattered_with};
 pub use preprocess::{
     preprocess_align, BandScheme, ChunkPlan, IoMode, PreprocessConfig, PreprocessOutcome,
 };
-pub use rayon_port::{
-    heuristic_antidiagonal_rayon, heuristic_block_align_shm, score_bands_shm, ShmScoreOutcome,
-};
+pub use rayon_port::heuristic_block_align_shm;
 pub use reverse_parallel::reverse_align_all_parallel;
 pub use wire::{WireIndexed, WireRegions};
 

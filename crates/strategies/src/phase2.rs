@@ -10,10 +10,10 @@
 //! and condition variables"; barriers are used only at the beginning and
 //! the end.
 
-use crate::checkpoint::{merged_roles, StrategyError, StrategyResult};
+use crate::checkpoint::{run_elastic, run_with_takeover, StrategyError, StrategyResult};
 use genomedsm_core::nw::{align_region, RegionAlignment};
 use genomedsm_core::{LocalRegion, Scoring};
-use genomedsm_dsm::{DsmConfig, DsmSystem, NodeStats};
+use genomedsm_dsm::{DsmConfig, DsmError, DsmSystem, Node, NodeStats};
 use std::time::{Duration, Instant};
 
 /// Result of a phase-2 run.
@@ -64,8 +64,9 @@ pub fn phase2_scattered(
 /// With supervision enabled the run tolerates fail-stop deaths: the
 /// scattered mapping has no mid-run synchronization, so deaths surface at
 /// the end-of-compute barrier, where survivors deterministically adopt
-/// the dead roles' scattered indices (see [`merged_roles`]) and re-align
-/// them — duplicates across rounds overwrite with identical alignments.
+/// the dead roles' scattered indices (see
+/// [`crate::checkpoint::run_with_takeover`]) and re-align them —
+/// duplicates across rounds overwrite with identical alignments.
 /// The cross-check falls to the lowest *alive* node. Locks and condition
 /// variables stay unused either way.
 ///
@@ -98,90 +99,64 @@ pub fn phase2_scattered_with(
             None
         };
         let mut units = 0u64;
-        // Aligns every scattered index of `role` into `mine`; false means
-        // this node fail-stopped mid-role (its memory, `mine` included,
-        // is lost). Textual macro: `node` and `mine` bind at the
-        // expansion site, so both the plain path and the elastic body
-        // below use their own.
-        macro_rules! run_role {
-            ($node:expr, $mine:expr, $role:expr) => {{
-                let mut idx = $role;
-                let mut ok = true;
-                while idx < regions.len() {
+        // Aligns every scattered index of `role` into `mine`; errs when
+        // this node fail-stops mid-role (its memory, `mine` included, is
+        // lost).
+        let mut run_role =
+            |node: &mut Node, role: usize, mine: &mut Vec<(usize, RegionAlignment)>| {
+                for idx in (role..regions.len()).step_by(nprocs) {
                     let r = &regions[idx];
                     let ra = align_region(s, t, r, &scoring);
-                    $node.advance(crate::costs::cells(
+                    node.advance(crate::costs::cells(
                         crate::costs::NW_CELL,
                         r.s_len() * r.t_len(),
                     ));
-                    $node.vec_set(&shared_scores, idx, ra.alignment.score);
-                    $mine.push((idx, ra));
+                    node.vec_set(&shared_scores, idx, ra.alignment.score);
+                    mine.push((idx, ra));
                     units += 1;
                     if crash_at == Some(units) {
-                        $node.fail_stop();
-                        ok = false;
-                        break;
+                        node.fail_stop();
+                        return Err(DsmError::Disconnected("injected fail-stop"));
                     }
-                    $node.heartbeat();
-                    idx += nprocs;
+                    node.heartbeat();
                 }
-                ok
-            }};
-        }
+                Ok(())
+            };
         if node.supervised() {
             // The tolerant path runs as a one-round elastic campaign: a
             // victim with a scheduled rejoin is re-admitted at the
             // closing boundary, after the survivors' cross-check. Budget:
             // takeover sweep (at most nprocs rounds) + the final barrier.
             let unit_time = crate::costs::cells(crate::costs::NW_CELL, avg_cells.max(1));
-            let mut rounds =
-                crate::checkpoint::run_elastic(node, 1, nprocs.max(1) + 3, unit_time, |node, _| {
-                    let mut mine: Vec<(usize, RegionAlignment)> = Vec::new();
-                    if node.failed() || !run_role!(node, mine, p) {
-                        return Vec::new();
-                    }
-                    // Takeover sweep: the scattered mapping has no locks
-                    // or cvs, so deaths are only discovered here. Loop
-                    // until a barrier reports no new corpses; each round
-                    // re-runs the dead roles this node adopts. Re-aligning
-                    // an index twice is harmless — the alignment is
-                    // deterministic and overwrites itself.
-                    let mut handled: std::collections::BTreeSet<usize> = [p].into();
-                    let mut seen_dead: Vec<usize> = Vec::new();
-                    loop {
-                        let dead = node.barrier_wait();
-                        if dead.iter().all(|d| seen_dead.contains(d)) {
-                            break;
-                        }
-                        for role in merged_roles(p, nprocs, &dead) {
-                            if handled.contains(&role) {
-                                continue;
-                            }
-                            if !run_role!(node, mine, role) {
-                                return Vec::new();
-                            }
-                            handled.insert(role);
-                            node.note_takeover();
-                        }
-                        seen_dead = dead;
-                    }
-                    // Cross-check the shared vector on the lowest alive
-                    // node (every score must have been merged through the
-                    // multiple-writer protocol).
-                    let dead = node.known_dead();
-                    let checker = (0..nprocs).find(|q| !dead.contains(q)).unwrap_or(0);
-                    if p == checker {
-                        for i in 0..regions.len() {
-                            let _ = node.vec_get(&shared_scores, i);
-                        }
-                    }
-                    node.barrier_wait();
-                    mine
+            let mut rounds = run_elastic(node, 1, nprocs.max(1) + 3, unit_time, |node, _| {
+                // The scattered mapping has no locks or cvs, so deaths
+                // surface only at the takeover sweep's barriers.
+                // Re-aligning an index twice is harmless — the alignment
+                // is deterministic and overwrites itself.
+                let pieces = run_with_takeover(node, nprocs, |node, execute, _, mine| {
+                    execute
+                        .iter()
+                        .try_for_each(|&role| run_role(node, role, mine))
                 });
+                let Some(pieces) = pieces else {
+                    return Vec::new(); // this worker fail-stopped
+                };
+                // Cross-check the shared vector on the lowest alive node
+                // (every score must have been merged through the
+                // multiple-writer protocol).
+                let dead = node.known_dead();
+                if (0..nprocs).find(|q| !dead.contains(q)) == Some(p) {
+                    for i in 0..regions.len() {
+                        let _ = node.vec_get(&shared_scores, i);
+                    }
+                }
+                node.barrier_wait();
+                pieces.into_iter().flatten().collect()
+            });
             return crate::wire::WireIndexed(rounds.pop().unwrap_or_default());
         }
         let mut mine: Vec<(usize, RegionAlignment)> = Vec::new();
-        if !run_role!(node, mine, p) {
+        if run_role(node, p, &mut mine).is_err() {
             return crate::wire::WireIndexed(Vec::new());
         }
         node.barrier();
@@ -248,61 +223,6 @@ pub fn phase2_scattered_pool(
     Ok(out)
 }
 
-/// The ablation foil for the scattered mapping: contiguous **block
-/// mapping** (node `i` takes the `i`-th block of the size-sorted queue).
-/// The paper chose scattered mapping because the queue is sorted by
-/// subsequence size — a block mapping hands all the big alignments to
-/// the first node and idles the rest; the harness quantifies exactly
-/// that imbalance.
-pub fn phase2_block_mapping(
-    s: &[u8],
-    t: &[u8],
-    regions: &[LocalRegion],
-    scoring: &Scoring,
-    nprocs: usize,
-) -> StrategyResult<Phase2Outcome> {
-    let t0 = Instant::now();
-    let scoring = *scoring;
-    let config = DsmConfig::new(nprocs).network(genomedsm_dsm::NetworkModel::paper_cluster());
-    let run = DsmSystem::run_wire(config, |node| {
-        let p = node.id();
-        let total = regions.len();
-        let nprocs = node.nprocs();
-        let lo = p * total / nprocs;
-        let hi = (p + 1) * total / nprocs;
-        node.barrier();
-        let mut mine: Vec<(usize, RegionAlignment)> = Vec::new();
-        for (idx, r) in regions.iter().enumerate().take(hi).skip(lo) {
-            let ra = align_region(s, t, r, &scoring);
-            node.advance(crate::costs::cells(
-                crate::costs::NW_CELL,
-                r.s_len() * r.t_len(),
-            ));
-            mine.push((idx, ra));
-        }
-        node.barrier();
-        crate::wire::WireIndexed(mine)
-    });
-    let mut alignments: Vec<Option<RegionAlignment>> = vec![None; regions.len()];
-    for per_node in run.results {
-        for (idx, ra) in per_node.0 {
-            alignments[idx] = Some(ra);
-        }
-    }
-    let mut out = Vec::with_capacity(alignments.len());
-    for (idx, a) in alignments.into_iter().enumerate() {
-        out.push(
-            a.ok_or_else(|| StrategyError::Worker(format!("region {idx} was never aligned")))?,
-        );
-    }
-    Ok(Phase2Outcome {
-        alignments: out,
-        wall: run.stats.iter().map(|s| s.total).max().unwrap_or_default(),
-        host_wall: t0.elapsed(),
-        per_node: run.stats,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,21 +284,6 @@ mod tests {
             // lock_cv time must be zero: no locks or cvs at all.
             assert_eq!(s.lock_cv, Duration::ZERO);
         }
-    }
-
-    #[test]
-    fn block_mapping_agrees_but_balances_worse_on_sorted_queues() {
-        // A size-sorted queue (phase 1's output order): the scattered
-        // mapping interleaves big and small alignments; the block mapping
-        // gives node 0 all the big ones.
-        let (s, t, mut regions) = regions_for_test(700, 35);
-        regions.sort_by_key(|r| std::cmp::Reverse(r.size()));
-        // Skew the sizes so imbalance is visible even with few regions.
-        let scattered = phase2_scattered(&s, &t, &regions, &SC, 4).unwrap();
-        let block = phase2_block_mapping(&s, &t, &regions, &SC, 4).unwrap();
-        assert_eq!(scattered.alignments, block.alignments);
-        // Scattered's critical path is at most block's (usually shorter).
-        assert!(scattered.wall <= block.wall + Duration::from_millis(50));
     }
 
     #[test]

@@ -35,12 +35,19 @@
 //! checksummed [`crate::checkpoint::FILE_MAGIC`] footer, written via
 //! temp-file + fsync + atomic rename, and [`read_saved_columns`] rejects
 //! truncated or corrupted files with a typed error.
+//!
+//! Both workers compute every band chunk through one routine — the
+//! striped [`BandScorer`] when it applies, the scalar recurrence
+//! otherwise. They differ only in border transport and recovery: the
+//! plain worker pops and pushes [`ChunkRing`]s and replays a crashed band
+//! from its checkpoint; the tolerant one moves borders through the ledger
+//! and lets [`run_with_takeover`] re-execute dead roles.
 
 use crate::checkpoint::{
-    read_verified, run_elastic, run_with_takeover, AtomicFileWriter, FlowChannel, Ledger,
-    StrategyError, StrategyResult,
+    read_verified, run_elastic, run_with_takeover, AtomicFileWriter, Ledger, LedgerEndpoint,
+    StrategyError, StrategyResult, Units,
 };
-use crate::ring::ChunkRing;
+use crate::ring::{BorderEndpoint, ChunkRing};
 use genomedsm_core::Scoring;
 use genomedsm_dsm::{
     DsmConfig, DsmError, DsmSystem, FrameReader, FrameWriter, GlobalVec, Node, NodeStats, Wire,
@@ -383,19 +390,22 @@ pub fn preprocess_align(
         .max()
         .unwrap_or(1);
 
+    let ctx = PpCtx {
+        s,
+        t,
+        scoring,
+        config,
+        bands: &bands,
+        chunks: &chunks,
+        groups,
+        nprocs,
+        max_chunk,
+        save_every: (config.io_mode != IoMode::None && config.save_interleave > 0)
+            .then_some(config.save_interleave),
+    };
+
     let run = DsmSystem::run_wire(config.dsm.clone(), |node: &mut Node| {
         if node.supervised() {
-            let ctx = PpCtx {
-                s,
-                t,
-                scoring,
-                config,
-                bands: &bands,
-                chunks: &chunks,
-                groups,
-                nprocs,
-                max_chunk,
-            };
             return tolerant_pp_worker(node, &ctx);
         }
         let p = node.id();
@@ -439,11 +449,6 @@ pub fn preprocess_align(
             _ => None,
         };
 
-        let save_every = if config.io_mode != IoMode::None && config.save_interleave > 0 {
-            Some(config.save_interleave)
-        } else {
-            None
-        };
         // --- Crash-recovery state (DESIGN.md §5.7) -------------------
         // The fail-stop model is cooperative: the injector names a chunk
         // ordinal, and when this node completes that many chunks it
@@ -471,196 +476,85 @@ pub fn preprocess_align(
 
         let mut band = p;
         'bands: while band < nbands {
-            let (i0, i1) = bands[band];
-            let h = i1 + 1 - i0;
             let mut hits_row = vec![0i64; groups];
-            // The striped kernel counts hits only for positive thresholds
-            // (a non-positive threshold makes every cell a hit, which only
-            // the scalar loop reproduces), so gate on that before asking
-            // for a scorer; `BandScorer::new` handles every other
-            // applicability condition (choice, ISA, i16 head-room).
-            let mut scorer = if config.threshold >= 1 {
-                BandScorer::new(
-                    config.kernel,
-                    &s[i0 - 1..i1],
-                    (m, n),
-                    scoring,
-                    config.threshold,
-                    save_every,
-                )
-            } else {
-                None
-            };
-            // Saves a selected column, honoring the durable-write cursor:
-            // during post-crash replay, columns immediate I/O already put
-            // on disk are skipped (and not re-charged) so the file stays
-            // bit-identical to a fault-free run.
-            macro_rules! save_column {
-                ($column:expr) => {{
-                    let column: SavedColumn = $column;
+            let mut cursor = BandCursor::new(&ctx, band);
+            for (k, &(c_lo, c_hi)) in chunks.iter().enumerate() {
+                let width = c_hi + 1 - c_lo;
+                // The chunk's top border: band 0 regenerates zeros;
+                // otherwise a replayed chunk reads the logged border, and
+                // a fresh chunk pops the ring (logging the border when
+                // checkpointing is on, so a later replay can reproduce it
+                // without re-consuming the ring).
+                let top = if band == 0 {
+                    vec![0i32; width + 1]
+                } else if k < top_log.len() {
+                    top_log[k].clone()
+                } else {
+                    let border = rings[from_ring].pop(node, width + 1);
+                    if config.checkpoint {
+                        top_log.push(border.clone());
+                    }
+                    border
+                };
+                let (bottom, cols) = cursor.chunk(&ctx, (c_lo, c_hi), &top, &mut hits_row);
+                for (col, values) in cols {
+                    let column = SavedColumn {
+                        band: band as u32,
+                        col: col as u32,
+                        values,
+                    };
                     match config.io_mode {
-                        IoMode::Immediate => {
-                            if cols_seen >= cols_saved {
-                                let mut buf = Vec::with_capacity(12 + 4 * column.values.len());
-                                encode_column(&mut buf, &column);
-                                let failed = match writer.as_mut() {
-                                    Some(w) => w.write_all(&buf).err(),
-                                    None => None, // already failed; keep computing
-                                };
-                                if let Some(e) = failed {
-                                    writer = None;
-                                    io_err.get_or_insert((
-                                        format!("write saved-column file node_{p}.cols"),
-                                        e,
-                                    ));
-                                }
-                                node.advance(crate::costs::cells(config.io_byte_cost, buf.len()));
-                                cols_saved += 1;
+                        // During post-crash replay, columns immediate I/O
+                        // already put on disk are skipped (and not
+                        // re-charged) so the file stays bit-identical to a
+                        // fault-free run.
+                        IoMode::Immediate if cols_seen >= cols_saved => {
+                            let mut buf = Vec::with_capacity(12 + 4 * column.values.len());
+                            encode_column(&mut buf, &column);
+                            let failed = match writer.as_mut() {
+                                Some(w) => w.write_all(&buf).err(),
+                                None => None, // already failed; keep computing
+                            };
+                            if let Some(e) = failed {
+                                writer = None;
+                                io_err.get_or_insert((
+                                    format!("write saved-column file node_{p}.cols"),
+                                    e,
+                                ));
                             }
+                            node.advance(crate::costs::cells(config.io_byte_cost, buf.len()));
+                            cols_saved += 1;
                         }
+                        IoMode::Immediate => {}
                         IoMode::Deferred => saved.push(column),
                         IoMode::None => unreachable!("save_every is None without I/O"),
                     }
                     cols_seen += 1;
-                }};
-            }
-            // Fail-stop crash at a chunk boundary: lose all volatile band
-            // state, charge the downtime, and resume from the checkpoint.
-            macro_rules! crash_check {
-                () => {{
-                    chunks_done += 1;
-                    if !crashed && crash_at == Some(chunks_done) {
-                        crashed = true;
-                        node.crash_restart(config.restart_cost);
-                        best_score = ckpt_best;
-                        saved.truncate(ckpt_saved_len);
-                        cols_seen = ckpt_cols_seen;
-                        band = ckpt_band;
-                        continue 'bands;
-                    }
-                }};
-            }
-            // Fetches the chunk's top border: band 0 regenerates zeros;
-            // otherwise a replayed chunk reads the logged border, and a
-            // fresh chunk pops the ring (logging the border when
-            // checkpointing is on, so a later replay can reproduce it
-            // without re-consuming the ring).
-            macro_rules! top_border {
-                ($k:expr, $width:expr) => {{
-                    if band == 0 {
-                        vec![0i32; $width + 1]
-                    } else if $k < top_log.len() {
-                        top_log[$k].clone()
-                    } else {
-                        let border = rings[from_ring].pop(node, $width + 1);
-                        if config.checkpoint {
-                            top_log.push(border.clone());
-                        }
-                        border
-                    }
-                }};
-            }
-            // Sends the chunk's bottom border downstream, unless a
-            // pre-crash execution already delivered it (the consumer's pop
-            // cursor has moved past it; re-pushing would corrupt the ring).
-            macro_rules! push_bottom {
-                ($k:expr, $bottom:expr) => {{
-                    if band + 1 < nbands && $k >= pushed {
-                        rings[p].push(node, $bottom);
-                        pushed = $k + 1;
-                    }
-                }};
-            }
-
-            if let Some(scorer) = scorer.as_mut() {
-                // Striped SIMD inner loop: the same cells, vectorized.
-                let mut corner = 0i32; // H[i1][c_lo - 1]; 0 at the left border
-                for (k, &(c_lo, c_hi)) in chunks.iter().enumerate() {
-                    let width = c_hi + 1 - c_lo;
-                    let top: Vec<i32> = top_border!(k, width);
-                    let mut bottom_vals = Vec::with_capacity(width);
-                    let mut col_hits = Vec::with_capacity(width);
-                    let mut saved_cols = Vec::new();
-                    scorer.advance(
-                        &t[c_lo - 1..c_hi],
-                        &top,
-                        c_lo,
-                        &mut bottom_vals,
-                        &mut col_hits,
-                        &mut saved_cols,
-                    );
-                    for (idx, &hits) in col_hits.iter().enumerate() {
-                        let j = c_lo + idx;
-                        hits_row[(j - 1) / config.result_interleave] += hits as i64;
-                    }
-                    for (col, values) in saved_cols {
-                        save_column!(SavedColumn {
-                            band: band as u32,
-                            col: col as u32,
-                            values,
-                        });
-                    }
-                    let mut bottom = Vec::with_capacity(width + 1);
-                    bottom.push(corner);
-                    bottom.append(&mut bottom_vals);
-                    let Some(&last) = bottom.last() else {
-                        unreachable!("bottom always carries the corner plus the chunk")
-                    };
-                    corner = last;
-                    node.advance(crate::costs::cells(config.cell_cost, h * width));
-                    push_bottom!(k, &bottom);
-                    crash_check!();
                 }
-                best_score = best_score.max(scorer.best_score());
-            } else {
-                // Left border column (column 0 of the band): zeros.
-                let mut left_col = vec![0i32; h + 1];
-                for (k, &(c_lo, c_hi)) in chunks.iter().enumerate() {
-                    let width = c_hi + 1 - c_lo;
-                    let top: Vec<i32> = top_border!(k, width);
-                    // Process the chunk column by column, top to bottom.
-                    let mut bottom = vec![0i32; width + 1];
-                    bottom[0] = left_col[h];
-                    let mut prev_col = left_col.clone();
-                    prev_col[0] = top[0];
-                    let mut cur_col = vec![0i32; h + 1];
-                    for j in c_lo..=c_hi {
-                        cur_col[0] = top[j - c_lo + 1];
-                        let tc = t[j - 1];
-                        let mut col_best = 0i32;
-                        for r in 1..=h {
-                            let i = i0 + r - 1;
-                            let diag = prev_col[r - 1] + scoring.subst(s[i - 1], tc);
-                            let up = cur_col[r - 1] + scoring.gap;
-                            let left = prev_col[r] + scoring.gap;
-                            let v = diag.max(up).max(left).max(0);
-                            cur_col[r] = v;
-                            if v >= config.threshold {
-                                hits_row[(j - 1) / config.result_interleave] += 1;
-                            }
-                            col_best = col_best.max(v);
-                        }
-                        best_score = best_score.max(col_best);
-                        bottom[j - c_lo + 1] = cur_col[h];
-                        // Column saving (save interleave).
-                        if config.io_mode != IoMode::None
-                            && config.save_interleave > 0
-                            && j % config.save_interleave == 0
-                        {
-                            save_column!(SavedColumn {
-                                band: band as u32,
-                                col: j as u32,
-                                values: cur_col[1..].to_vec(),
-                            });
-                        }
-                        std::mem::swap(&mut prev_col, &mut cur_col);
-                    }
-                    left_col.copy_from_slice(&prev_col);
-                    node.advance(crate::costs::cells(config.cell_cost, h * width));
-                    push_bottom!(k, &bottom);
-                    crash_check!();
+                node.advance(crate::costs::cells(config.cell_cost, cursor.h * width));
+                // Sends the chunk's bottom border downstream, unless a
+                // pre-crash execution already delivered it (the
+                // consumer's pop cursor has moved past it; re-pushing
+                // would corrupt the ring).
+                if band + 1 < nbands && k >= pushed {
+                    rings[p].push(node, &bottom);
+                    pushed = k + 1;
+                }
+                // Fail-stop crash at a chunk boundary: lose all volatile
+                // band state, charge the downtime, and resume from the
+                // checkpoint.
+                chunks_done += 1;
+                if !crashed && crash_at == Some(chunks_done) {
+                    crashed = true;
+                    node.crash_restart(config.restart_cost);
+                    best_score = ckpt_best;
+                    saved.truncate(ckpt_saved_len);
+                    cols_seen = ckpt_cols_seen;
+                    band = ckpt_band;
+                    continue 'bands;
                 }
             }
+            best_score = best_score.max(cursor.best());
             // Publish this band's result-matrix row (local-home write).
             if groups > 0 {
                 node.vec_write_range(&result_rows[band], 0, &hits_row);
@@ -777,7 +671,7 @@ pub fn preprocess_align(
 // Tolerant (takeover-capable) worker
 // ---------------------------------------------------------------------------
 
-/// Shared read-only inputs of the tolerant worker.
+/// Shared read-only inputs of both workers.
 struct PpCtx<'a> {
     s: &'a [u8],
     t: &'a [u8],
@@ -788,6 +682,139 @@ struct PpCtx<'a> {
     groups: usize,
     nprocs: usize,
     max_chunk: usize,
+    /// Save interleave when columns go to disk, `None` without I/O.
+    save_every: Option<usize>,
+}
+
+/// One band of the wavefront, computed chunk by chunk — the one place
+/// both workers run the cell recurrence.
+struct BandCursor {
+    /// First row of the band (1-based) and its height.
+    i0: usize,
+    h: usize,
+    kernel: BandKernel,
+}
+
+enum BandKernel {
+    /// The striped kernel plus the band's running bottom-left corner
+    /// `H[i1][c_lo - 1]` (0 at the left border).
+    Striped {
+        scorer: Box<BandScorer>,
+        corner: i32,
+    },
+    /// The plain recurrence: the band's previous column (index 0 = the
+    /// border row) and its best score so far.
+    Scalar { left_col: Vec<i32>, best: i32 },
+}
+
+impl BandCursor {
+    fn new(ctx: &PpCtx<'_>, band: usize) -> Self {
+        let (i0, i1) = ctx.bands[band];
+        let h = i1 + 1 - i0;
+        let config = ctx.config;
+        // The striped kernel counts hits only for positive thresholds (a
+        // non-positive threshold makes every cell a hit, which only the
+        // scalar `v >= threshold` rule reproduces), so gate on that
+        // before asking for a scorer; `BandScorer::new` handles every
+        // other applicability condition (choice, ISA, i16 head-room).
+        let scorer = (config.threshold >= 1)
+            .then(|| {
+                BandScorer::new(
+                    config.kernel,
+                    &ctx.s[i0 - 1..i1],
+                    (ctx.s.len(), ctx.t.len()),
+                    ctx.scoring,
+                    config.threshold,
+                    ctx.save_every,
+                )
+            })
+            .flatten();
+        let kernel = match scorer {
+            Some(scorer) => BandKernel::Striped {
+                scorer: Box::new(scorer),
+                corner: 0,
+            },
+            None => BandKernel::Scalar {
+                left_col: vec![0; h + 1],
+                best: 0,
+            },
+        };
+        Self { i0, h, kernel }
+    }
+
+    /// Computes chunk `(c_lo, c_hi)` of the band under `top` (the border
+    /// row from the band above, corner first). Adds the chunk's threshold
+    /// hits to `hits_row` and returns the bottom border for the band
+    /// below (corner first) plus the saved columns as `(col, values)`.
+    fn chunk(
+        &mut self,
+        ctx: &PpCtx<'_>,
+        (c_lo, c_hi): (usize, usize),
+        top: &[i32],
+        hits_row: &mut [i64],
+    ) -> (Vec<i32>, Vec<(usize, Vec<i32>)>) {
+        let (t, ip, h) = (ctx.t, ctx.config.result_interleave, self.h);
+        let width = c_hi + 1 - c_lo;
+        let mut bottom = Vec::with_capacity(width + 1);
+        let mut saved = Vec::new();
+        match &mut self.kernel {
+            BandKernel::Striped { scorer, corner } => {
+                let mut col_hits = Vec::with_capacity(width);
+                bottom.push(*corner);
+                scorer.advance(
+                    &t[c_lo - 1..c_hi],
+                    top,
+                    c_lo,
+                    &mut bottom,
+                    &mut col_hits,
+                    &mut saved,
+                );
+                for (idx, &hits) in col_hits.iter().enumerate() {
+                    hits_row[(c_lo + idx - 1) / ip] += hits as i64;
+                }
+                *corner = bottom[width];
+            }
+            BandKernel::Scalar { left_col, best } => {
+                let (sc, threshold) = (ctx.scoring, ctx.config.threshold);
+                let band_s = &ctx.s[self.i0 - 1..][..h];
+                bottom.push(left_col[h]);
+                let mut prev_col = left_col.clone();
+                prev_col[0] = top[0];
+                let mut cur_col = vec![0i32; h + 1];
+                for j in c_lo..=c_hi {
+                    cur_col[0] = top[j - c_lo + 1];
+                    let tc = t[j - 1];
+                    for r in 1..=h {
+                        let diag = prev_col[r - 1] + sc.subst(band_s[r - 1], tc);
+                        let v = diag
+                            .max(cur_col[r - 1] + sc.gap)
+                            .max(prev_col[r] + sc.gap)
+                            .max(0);
+                        cur_col[r] = v;
+                        if v >= threshold {
+                            hits_row[(j - 1) / ip] += 1;
+                        }
+                        *best = (*best).max(v);
+                    }
+                    bottom.push(cur_col[h]);
+                    if ctx.save_every.is_some_and(|every| j % every == 0) {
+                        saved.push((j, cur_col[1..].to_vec()));
+                    }
+                    std::mem::swap(&mut prev_col, &mut cur_col);
+                }
+                left_col.copy_from_slice(&prev_col);
+            }
+        }
+        (bottom, saved)
+    }
+
+    /// The band's best score so far.
+    fn best(&self) -> i32 {
+        match &self.kernel {
+            BandKernel::Striped { scorer, .. } => scorer.best_score(),
+            BandKernel::Scalar { best, .. } => *best,
+        }
+    }
 }
 
 /// One executed role's results: the bands' best score and the columns it
@@ -841,8 +868,7 @@ fn tolerant_pp_worker(node: &mut Node, ctx: &PpCtx<'_>) -> NodeOut {
     node.barrier();
     let init = node.now();
     let core_start = node.now();
-    let crash_at = node.crash_point();
-    let mut units = 0u64;
+    let mut units = Units::new(node);
 
     // One work unit is one band×chunk tile; a scheduled rejoin's virtual
     // downtime is priced at that granularity.
@@ -854,17 +880,17 @@ fn tolerant_pp_worker(node: &mut Node, ctx: &PpCtx<'_>) -> NodeOut {
     // most nprocs rounds) plus the two termination barriers.
     let mut rounds = run_elastic(node, 1, nprocs.max(1) + 3, unit_time, |node, _| {
         let pieces = run_with_takeover(node, nprocs, |node, execute, resume, acc: &mut PpAcc| {
-            run_pp_bands(
+            let mut ends = LedgerEndpoint::new(
                 node,
-                ctx,
                 &ledger,
-                &result_rows,
+                0..nprocs,
+                0,
+                nchunks.max(1) as u64,
                 execute,
                 resume,
-                crash_at,
                 &mut units,
-                acc,
-            )
+            );
+            run_pp_bands(node, ctx, &mut ends, &ledger, &result_rows, execute, acc)
         });
         let Some(pieces) = pieces else {
             return NodeOut::default(); // this worker fail-stopped
@@ -937,38 +963,18 @@ fn tolerant_pp_worker(node: &mut Node, ctx: &PpCtx<'_>) -> NodeOut {
 /// Executes every band whose role is in `execute`, ascending — the
 /// wavefront order; band `b` consumes band `b-1`'s chunks either from
 /// this very loop (internal role) or from a live external producer.
-#[allow(clippy::too_many_arguments)]
 fn run_pp_bands(
     node: &mut Node,
     ctx: &PpCtx<'_>,
+    ends: &mut LedgerEndpoint<'_, i32>,
     ledger: &Ledger<i32>,
     result_rows: &[GlobalVec<i64>],
     execute: &[usize],
-    resume: bool,
-    crash_at: Option<u64>,
-    units: &mut u64,
     acc: &mut PpAcc,
 ) -> Result<(), DsmError> {
     let config = ctx.config;
     let nprocs = ctx.nprocs;
     let nbands = ctx.bands.len();
-    let (m, n) = (ctx.s.len(), ctx.t.len());
-    // Ring q carries passage-band chunks from role q to role (q+1) mod P;
-    // capacity = one whole passage band, as in the plain path's rings.
-    let mut channels: Vec<FlowChannel> = (0..nprocs)
-        .map(|q| {
-            FlowChannel::new(
-                node,
-                ledger,
-                q,
-                (q + 1) % nprocs,
-                (2 * q) as u32,
-                (2 * q + 1) as u32,
-                ctx.chunks.len().max(1) as u64,
-                resume,
-            )
-        })
-        .collect();
     // Per-role dense chunk ordinals: every band but the first pops, every
     // band but the last pushes, in ascending band order.
     let mut pops = vec![0u64; nprocs];
@@ -978,164 +984,44 @@ fn run_pp_bands(
     for &r in execute {
         entry(acc, r);
     }
-    let save_every = if config.io_mode != IoMode::None && config.save_interleave > 0 {
-        Some(config.save_interleave)
-    } else {
-        None
-    };
     for band in 0..nbands {
         let role = band % nprocs;
         if !execute.contains(&role) {
             continue;
         }
-        let in_ring = (role + nprocs - 1) % nprocs;
-        let (i0, i1) = ctx.bands[band];
-        let h = i1 + 1 - i0;
         let mut hits_row = vec![0i64; ctx.groups];
-        let mut band_best = 0i32;
-        let mut scorer = if config.threshold >= 1 {
-            BandScorer::new(
-                config.kernel,
-                &ctx.s[i0 - 1..i1],
-                (m, n),
-                ctx.scoring,
-                config.threshold,
-                save_every,
-            )
-        } else {
-            None
-        };
-        macro_rules! save_col {
-            ($column:expr) => {{
-                let column: SavedColumn = $column;
+        let mut cursor = BandCursor::new(ctx, band);
+        for &(c_lo, c_hi) in ctx.chunks {
+            let width = c_hi + 1 - c_lo;
+            let top: Vec<i32> = if band == 0 {
+                vec![0i32; width + 1]
+            } else {
+                let ord = pops[role];
+                pops[role] += 1;
+                ends.pop(node, (role + nprocs - 1) % nprocs, ord, width + 1)?
+            };
+            let (bottom, cols) = cursor.chunk(ctx, (c_lo, c_hi), &top, &mut hits_row);
+            for (col, values) in cols {
                 if config.io_mode == IoMode::Immediate {
-                    let bytes = 12 + 4 * column.values.len();
+                    let bytes = 12 + 4 * values.len();
                     node.advance(crate::costs::cells(config.io_byte_cost, bytes));
                 }
-                entry(acc, role).saved.push(column);
-            }};
-        }
-        macro_rules! unit_done {
-            () => {{
-                *units += 1;
-                if crash_at == Some(*units) {
-                    node.fail_stop();
-                    return Err(DsmError::Disconnected("injected fail-stop"));
-                }
-                if (*units).is_multiple_of(64) {
-                    node.heartbeat();
-                }
-            }};
-        }
-        if let Some(scorer) = scorer.as_mut() {
-            let mut corner = 0i32;
-            for (k, &(c_lo, c_hi)) in ctx.chunks.iter().enumerate() {
-                let width = c_hi + 1 - c_lo;
-                let top: Vec<i32> = if band == 0 {
-                    vec![0i32; width + 1]
-                } else {
-                    let ord = pops[role];
-                    pops[role] += 1;
-                    channels[in_ring].consume(node, ledger, execute, ord, width + 1)?
-                };
-                let mut bottom_vals = Vec::with_capacity(width);
-                let mut col_hits = Vec::with_capacity(width);
-                let mut saved_cols = Vec::new();
-                scorer.advance(
-                    &ctx.t[c_lo - 1..c_hi],
-                    &top,
-                    c_lo,
-                    &mut bottom_vals,
-                    &mut col_hits,
-                    &mut saved_cols,
-                );
-                for (idx, &hits) in col_hits.iter().enumerate() {
-                    let j = c_lo + idx;
-                    hits_row[(j - 1) / config.result_interleave] += hits as i64;
-                }
-                for (col, values) in saved_cols {
-                    save_col!(SavedColumn {
-                        band: band as u32,
-                        col: col as u32,
-                        values,
-                    });
-                }
-                let mut bottom = Vec::with_capacity(width + 1);
-                bottom.push(corner);
-                bottom.append(&mut bottom_vals);
-                let Some(&last) = bottom.last() else {
-                    unreachable!("bottom always carries the corner plus the chunk")
-                };
-                corner = last;
-                node.advance(crate::costs::cells(config.cell_cost, h * width));
-                unit_done!();
-                if band + 1 < nbands {
-                    let ord = pushes[role];
-                    pushes[role] += 1;
-                    channels[role].produce(node, ledger, execute, ord, &bottom)?;
-                }
-                let _ = k;
+                entry(acc, role).saved.push(SavedColumn {
+                    band: band as u32,
+                    col: col as u32,
+                    values,
+                });
             }
-            band_best = band_best.max(scorer.best_score());
-        } else {
-            let mut left_col = vec![0i32; h + 1];
-            for (k, &(c_lo, c_hi)) in ctx.chunks.iter().enumerate() {
-                let width = c_hi + 1 - c_lo;
-                let top: Vec<i32> = if band == 0 {
-                    vec![0i32; width + 1]
-                } else {
-                    let ord = pops[role];
-                    pops[role] += 1;
-                    channels[in_ring].consume(node, ledger, execute, ord, width + 1)?
-                };
-                let mut bottom = vec![0i32; width + 1];
-                bottom[0] = left_col[h];
-                let mut prev_col = left_col.clone();
-                prev_col[0] = top[0];
-                let mut cur_col = vec![0i32; h + 1];
-                for j in c_lo..=c_hi {
-                    cur_col[0] = top[j - c_lo + 1];
-                    let tc = ctx.t[j - 1];
-                    let mut col_best = 0i32;
-                    for r in 1..=h {
-                        let i = i0 + r - 1;
-                        let diag = prev_col[r - 1] + ctx.scoring.subst(ctx.s[i - 1], tc);
-                        let up = cur_col[r - 1] + ctx.scoring.gap;
-                        let left = prev_col[r] + ctx.scoring.gap;
-                        let v = diag.max(up).max(left).max(0);
-                        cur_col[r] = v;
-                        if v >= config.threshold {
-                            hits_row[(j - 1) / config.result_interleave] += 1;
-                        }
-                        col_best = col_best.max(v);
-                    }
-                    band_best = band_best.max(col_best);
-                    bottom[j - c_lo + 1] = cur_col[h];
-                    if config.io_mode != IoMode::None
-                        && config.save_interleave > 0
-                        && j % config.save_interleave == 0
-                    {
-                        save_col!(SavedColumn {
-                            band: band as u32,
-                            col: j as u32,
-                            values: cur_col[1..].to_vec(),
-                        });
-                    }
-                    std::mem::swap(&mut prev_col, &mut cur_col);
-                }
-                left_col.copy_from_slice(&prev_col);
-                node.advance(crate::costs::cells(config.cell_cost, h * width));
-                unit_done!();
-                if band + 1 < nbands {
-                    let ord = pushes[role];
-                    pushes[role] += 1;
-                    channels[role].produce(node, ledger, execute, ord, &bottom)?;
-                }
-                let _ = k;
+            node.advance(crate::costs::cells(config.cell_cost, cursor.h * width));
+            ends.unit_done(node)?;
+            if band + 1 < nbands {
+                let ord = pushes[role];
+                pushes[role] += 1;
+                ends.push(node, role, ord, &bottom)?;
             }
         }
         let run = entry(acc, role);
-        run.best = run.best.max(band_best);
+        run.best = run.best.max(cursor.best());
         // Publish the band's result-matrix row and flush it to its home
         // (a self-send for the owner; a remote write only during
         // takeover) so it survives this worker's later death.
@@ -1508,19 +1394,33 @@ mod tests {
         }
     }
 
+    /// The kernel branches the tolerant tests cover: the striped
+    /// `BandScorer` chunk and the scalar recurrence, in both workers.
+    const KERNELS: [KernelChoice; 2] = [KernelChoice::Scalar, KernelChoice::Simd];
+
     #[test]
     fn tolerant_mode_without_failures_matches_plain() {
         let (s, t) = workload(220, 31);
         let dir = std::env::temp_dir().join("genomedsm_pp_tol_parity");
-        for nprocs in [1, 2, 3] {
-            let d_plain = dir.join(format!("plain_{nprocs}"));
-            let d_tol = dir.join(format!("tol_{nprocs}"));
-            std::fs::create_dir_all(&d_plain).unwrap();
-            std::fs::create_dir_all(&d_tol).unwrap();
-            let plain = preprocess_align(&s, &t, &SC, &base_config(nprocs, &d_plain)).unwrap();
-            let tol =
-                preprocess_align(&s, &t, &SC, &tolerant(base_config(nprocs, &d_tol))).unwrap();
-            assert_identical(&plain, &tol, nprocs);
+        // Threshold 0 makes every cell a hit, which only the scalar
+        // branch reproduces, so it runs scalar under either choice.
+        for (kernel, threshold) in [(KERNELS[0], 10), (KERNELS[1], 10), (KERNELS[1], 0)] {
+            for nprocs in [1, 2, 3] {
+                let tag = format!("{kernel:?}_{threshold}_{nprocs}");
+                let d_plain = dir.join(format!("plain_{tag}"));
+                let d_tol = dir.join(format!("tol_{tag}"));
+                std::fs::create_dir_all(&d_plain).unwrap();
+                std::fs::create_dir_all(&d_tol).unwrap();
+                let mut plain_cfg = base_config(nprocs, &d_plain);
+                plain_cfg.kernel = kernel;
+                plain_cfg.threshold = threshold;
+                let mut tol_cfg = tolerant(base_config(nprocs, &d_tol));
+                tol_cfg.kernel = kernel;
+                tol_cfg.threshold = threshold;
+                let plain = preprocess_align(&s, &t, &SC, &plain_cfg).unwrap();
+                let tol = preprocess_align(&s, &t, &SC, &tol_cfg).unwrap();
+                assert_identical(&plain, &tol, nprocs);
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1533,22 +1433,26 @@ mod tests {
         // per-column charge path.
         let (s, t) = workload(220, 32);
         let dir = std::env::temp_dir().join("genomedsm_pp_tol_death");
-        let d_plain = dir.join("plain");
-        let d_tol = dir.join("tol");
-        std::fs::create_dir_all(&d_plain).unwrap();
-        std::fs::create_dir_all(&d_tol).unwrap();
-        let mut plain_cfg = base_config(3, &d_plain);
-        plain_cfg.io_mode = IoMode::Immediate;
-        let plain = preprocess_align(&s, &t, &SC, &plain_cfg).unwrap();
-        let mut cfg = tolerant(base_config(3, &d_tol));
-        cfg.io_mode = IoMode::Immediate;
-        cfg.dsm = cfg
-            .dsm
-            .faults(std::sync::Arc::new(crate::KillPlan::new().kill(1, 4)));
-        let tol = preprocess_align(&s, &t, &SC, &cfg).unwrap();
-        assert_identical(&plain, &tol, 3);
-        let takeovers: u64 = tol.per_node.iter().map(|s| s.takeovers).sum();
-        assert!(takeovers >= 1, "no takeover recorded");
+        for kernel in KERNELS {
+            let d_plain = dir.join(format!("plain_{kernel:?}"));
+            let d_tol = dir.join(format!("tol_{kernel:?}"));
+            std::fs::create_dir_all(&d_plain).unwrap();
+            std::fs::create_dir_all(&d_tol).unwrap();
+            let mut plain_cfg = base_config(3, &d_plain);
+            plain_cfg.io_mode = IoMode::Immediate;
+            plain_cfg.kernel = kernel;
+            let plain = preprocess_align(&s, &t, &SC, &plain_cfg).unwrap();
+            let mut cfg = tolerant(base_config(3, &d_tol));
+            cfg.io_mode = IoMode::Immediate;
+            cfg.kernel = kernel;
+            cfg.dsm = cfg
+                .dsm
+                .faults(std::sync::Arc::new(crate::KillPlan::new().kill(1, 4)));
+            let tol = preprocess_align(&s, &t, &SC, &cfg).unwrap();
+            assert_identical(&plain, &tol, 3);
+            let takeovers: u64 = tol.per_node.iter().map(|s| s.takeovers).sum();
+            assert!(takeovers >= 1, "no takeover recorded ({kernel:?})");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,25 +1,18 @@
-//! Modern shared-memory ports of the blocked strategy (ablation).
+//! The blocked strategy on plain shared memory.
 //!
 //! The calibration question for this reproduction is how the paper's DSM
-//! strategy maps onto today's shared-memory stacks. This module runs the
-//! *same* band × block wavefront with plain scoped threads and channels —
-//! no pages, no diffs, no write notices — so benchmarks can separate the
+//! strategy maps onto today's shared-memory stacks.
+//! [`heuristic_block_align_shm`] runs the *same* band × block wavefront,
+//! block by block through [`crate::blocked`]'s block kernel, with plain
+//! scoped threads and channels — no pages, no diffs, no write notices —
+//! so the pipeline test and the criterion bench can separate the
 //! algorithmic cost of the wavefront from the DSM protocol overhead.
-//! A rayon-based antidiagonal variant is provided as a second reference
-//! point for the classic wave-front formulation (Fig. 7), and
-//! [`score_bands_shm`] runs the pre-process band pipeline on threads with
-//! the vectorized [`genomedsm_kernels`] score kernel.
 
-use crate::blocked::process_block;
+use crate::blocked::{process_block, slice_bounds};
 use crate::Phase1Outcome;
 use genomedsm_core::{finalize_queue, HCell, HeuristicParams, LocalRegion, RowKernel, Scoring};
 use genomedsm_dsm::NodeStats;
-use genomedsm_kernels::{BandScorer, KernelChoice};
 use std::time::Instant;
-
-fn slice_bounds(total: usize, parts: usize, k: usize) -> (usize, usize) {
-    (k * total / parts + 1, (k + 1) * total / parts)
-}
 
 /// The blocked wavefront on plain threads + channels (no DSM). Identical
 /// results to [`crate::heuristic_block_align`], minus the protocol.
@@ -132,296 +125,6 @@ pub fn heuristic_block_align_shm(
     }
 }
 
-/// Result of a [`score_bands_shm`] run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShmScoreOutcome {
-    /// The best local score anywhere in the matrix.
-    pub best_score: i32,
-    /// Number of cells scoring at least the threshold.
-    pub hits: u64,
-    /// Name of the kernel the majority of the work ran on
-    /// (`"scalar"` or one of the striped engines).
-    pub kernel: &'static str,
-    /// Real host time for the whole pipeline.
-    pub host_wall: std::time::Duration,
-}
-
-/// Scalar fallback for one column chunk of a band: the plain SW recurrence
-/// with a non-zero top border, mirroring what [`BandScorer::advance`]
-/// computes. `left_col` holds the band's previous column (index 0 = the
-/// border row) and is updated in place; `bottom` receives the corner
-/// followed by one last-row value per column.
-#[allow(clippy::too_many_arguments)]
-fn scalar_band_chunk(
-    band_s: &[u8],
-    chunk_t: &[u8],
-    top: &[i32],
-    left_col: &mut [i32],
-    scoring: &Scoring,
-    threshold: i32,
-    bottom: &mut Vec<i32>,
-) -> (u64, i32) {
-    let h = band_s.len();
-    let mut prev_col = left_col.to_vec();
-    prev_col[0] = top[0];
-    let mut cur_col = vec![0i32; h + 1];
-    let mut hits = 0u64;
-    let mut best = 0i32;
-    bottom.push(left_col[h]);
-    for (jj, &tc) in chunk_t.iter().enumerate() {
-        cur_col[0] = top[jj + 1];
-        for r in 1..=h {
-            let diag = prev_col[r - 1] + scoring.subst(band_s[r - 1], tc);
-            let v = diag
-                .max(cur_col[r - 1] + scoring.gap)
-                .max(prev_col[r] + scoring.gap)
-                .max(0);
-            cur_col[r] = v;
-            if v >= threshold {
-                hits += 1;
-            }
-            best = best.max(v);
-        }
-        bottom.push(cur_col[h]);
-        std::mem::swap(&mut prev_col, &mut cur_col);
-    }
-    left_col.copy_from_slice(&prev_col);
-    (hits, best)
-}
-
-/// The pre-process band pipeline on plain threads + channels with the
-/// vectorized score kernel: exact SW best score and threshold-hit count,
-/// no DSM, no virtual clock. Bands of query rows are assigned cyclically
-/// to `nprocs` threads; each band streams left-to-right in column chunks,
-/// handing its bottom row to the band below through a channel. Inside a
-/// band the inner loop is [`BandScorer`] (striped SSE2/AVX2) when
-/// `choice` and the problem's i16 head-room allow it, the plain scalar
-/// recurrence otherwise — results are identical either way.
-pub fn score_bands_shm(
-    s: &[u8],
-    t: &[u8],
-    scoring: &Scoring,
-    threshold: i32,
-    choice: KernelChoice,
-    nprocs: usize,
-    bands: usize,
-) -> ShmScoreOutcome {
-    assert!(nprocs >= 1 && bands >= 1);
-    assert!(threshold >= 1, "hit threshold must be positive");
-    let t0 = Instant::now();
-    let m = s.len();
-    let n = t.len();
-    const CHUNK: usize = 2048;
-
-    let mut senders = Vec::with_capacity(nprocs);
-    let mut receivers = Vec::with_capacity(nprocs);
-    for _ in 0..nprocs {
-        let (tx, rx) = crossbeam::channel::unbounded::<Vec<i32>>();
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    receivers.rotate_right(1);
-
-    let per_thread: Vec<(u64, i32, &'static str)> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nprocs);
-        for (p, from_rx) in receivers.into_iter().enumerate() {
-            let to_tx = senders[p].clone();
-            handles.push(scope.spawn(move || {
-                let mut hits = 0u64;
-                let mut best = 0i32;
-                let mut kernel_name = "scalar";
-                let mut band = p;
-                while band < bands {
-                    let i0 = band * m / bands + 1;
-                    let i1 = (band + 1) * m / bands;
-                    let h = (i1 + 1).saturating_sub(i0);
-                    let band_s = &s[i0 - 1..i1];
-                    let mut scorer =
-                        BandScorer::new(choice, band_s, (m, n), scoring, threshold, None);
-                    if let Some(sc) = &scorer {
-                        kernel_name = sc.isa().name();
-                    }
-                    let mut left_col = vec![0i32; h + 1];
-                    let mut c_lo = 1usize;
-                    while c_lo <= n {
-                        let c_hi = (c_lo + CHUNK - 1).min(n);
-                        let width = c_hi + 1 - c_lo;
-                        let top: Vec<i32> = if band == 0 {
-                            vec![0; width + 1]
-                        } else {
-                            match from_rx.recv() {
-                                Ok(top) => top,
-                                Err(_) => {
-                                    panic!("band {band}: upstream worker hung up mid-wavefront")
-                                }
-                            }
-                        };
-                        let mut bottom = Vec::with_capacity(width + 1);
-                        match scorer.as_mut() {
-                            Some(sc) => {
-                                let mut col_hits = Vec::with_capacity(width);
-                                let mut saved = Vec::new();
-                                bottom.push(left_col[h]);
-                                sc.advance(
-                                    &t[c_lo - 1..c_hi],
-                                    &top,
-                                    c_lo,
-                                    &mut bottom,
-                                    &mut col_hits,
-                                    &mut saved,
-                                );
-                                hits += col_hits.iter().sum::<u64>();
-                                let Some(&chunk_bottom) = bottom.last() else {
-                                    unreachable!("advance produced a non-empty chunk bottom")
-                                };
-                                left_col[h] = chunk_bottom;
-                            }
-                            None => {
-                                let (ch, cb) = scalar_band_chunk(
-                                    band_s,
-                                    &t[c_lo - 1..c_hi],
-                                    &top,
-                                    &mut left_col,
-                                    scoring,
-                                    threshold,
-                                    &mut bottom,
-                                );
-                                hits += ch;
-                                best = best.max(cb);
-                            }
-                        }
-                        if band + 1 < bands && to_tx.send(bottom).is_err() {
-                            panic!("band {band}: downstream worker hung up mid-wavefront");
-                        }
-                        c_lo = c_hi + 1;
-                    }
-                    if let Some(sc) = &scorer {
-                        best = best.max(sc.best_score());
-                    }
-                    band += nprocs;
-                }
-                (hits, best, kernel_name)
-            }));
-        }
-        drop(senders);
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-
-    let mut out = ShmScoreOutcome {
-        best_score: 0,
-        hits: 0,
-        kernel: "scalar",
-        host_wall: t0.elapsed(),
-    };
-    for (hits, best, name) in per_thread {
-        out.hits += hits;
-        out.best_score = out.best_score.max(best);
-        if name != "scalar" {
-            out.kernel = name;
-        }
-    }
-    out.host_wall = t0.elapsed();
-    out
-}
-
-/// The classic Fig. 7 wave-front on rayon: cells of each antidiagonal are
-/// independent (cell `(i, j)` needs only diagonals `d-1` and `d-2`), so
-/// every antidiagonal is a `par_iter` over its cells. This is the
-/// textbook formulation the paper contrasts with its column/band
-/// assignments; results are identical to the serial driver because the
-/// same [`RowKernel::update_cell`] runs per cell.
-pub fn heuristic_antidiagonal_rayon(
-    s: &[u8],
-    t: &[u8],
-    scoring: &Scoring,
-    params: &HeuristicParams,
-    threads: usize,
-) -> Phase1Outcome {
-    use rayon::prelude::*;
-    let t0 = Instant::now();
-    let kernel = RowKernel::new(*scoring, *params);
-    let m = s.len();
-    let n = t.len();
-    let pool = match rayon::ThreadPoolBuilder::new()
-        .num_threads(threads.max(1))
-        .build()
-    {
-        Ok(pool) => pool,
-        Err(e) => panic!("rayon pool construction cannot fail for >= 1 threads: {e}"),
-    };
-
-    // Antidiagonal d holds cells (i, j) with i + j == d, 1 <= i <= m,
-    // 1 <= j <= n. Buffers are indexed by i; index 0 stands for the zero
-    // border row.
-    let mut prev2: Vec<HCell> = vec![HCell::fresh(); m + 1]; // diagonal d-2
-    let mut prev1: Vec<HCell> = vec![HCell::fresh(); m + 1]; // diagonal d-1
-    let mut queue: Vec<LocalRegion> = Vec::new();
-
-    pool.install(|| {
-        for d in 2..=(m + n) {
-            let i_lo = 1.max(d.saturating_sub(n));
-            let i_hi = m.min(d - 1);
-            if i_lo > i_hi {
-                // Degenerate axis: nothing on this antidiagonal.
-                std::mem::swap(&mut prev2, &mut prev1);
-                prev1.iter_mut().for_each(|c| *c = HCell::fresh());
-                continue;
-            }
-            let p2 = &prev2;
-            let p1 = &prev1;
-            let results: Vec<(usize, HCell, Vec<LocalRegion>)> = (i_lo..=i_hi)
-                .into_par_iter()
-                .map(|i| {
-                    let j = d - i;
-                    // Predecessors: diag = (i-1, j-1) on d-2; up = (i-1, j)
-                    // and left = (i, j-1) on d-1. Border cells are fresh.
-                    let diag = p2[i - 1]; // (i-1, j-1): fresh border when on the rim
-                    let up = p1[i - 1]; // (i-1, j): the zero border row when i == 1
-                    let left = p1[i];
-                    let mut local_queue = Vec::new();
-                    let cell = kernel.update_cell(
-                        s[i - 1],
-                        t[j - 1],
-                        i,
-                        j,
-                        &diag,
-                        &up,
-                        &left,
-                        &mut local_queue,
-                    );
-                    // Edge flushes mirror the serial driver: rightmost
-                    // column per row, bottom row (corner once).
-                    if j == n {
-                        kernel.flush_open(&cell, i, n, &mut local_queue);
-                    } else if i == m {
-                        kernel.flush_open(&cell, m, j, &mut local_queue);
-                    }
-                    (i, cell, local_queue)
-                })
-                .collect();
-            std::mem::swap(&mut prev2, &mut prev1);
-            prev1.iter_mut().for_each(|c| *c = HCell::fresh());
-            for (i, cell, mut local_queue) in results {
-                prev1[i] = cell;
-                queue.append(&mut local_queue);
-            }
-        }
-    });
-
-    Phase1Outcome {
-        regions: finalize_queue(queue),
-        per_node: vec![NodeStats::default(); threads],
-        wall: t0.elapsed(),
-        host_wall: t0.elapsed(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,71 +167,6 @@ mod tests {
             &crate::BlockedConfig::new(2, 8, 8),
         );
         assert_eq!(dsm.regions, serial);
-    }
-
-    #[test]
-    fn antidiagonal_matches_serial() {
-        let (s, t, _) = planted_pair(
-            220,
-            260,
-            &HomologyPlan {
-                region_count: 3,
-                region_len_mean: 50,
-                region_len_jitter: 15,
-                profile: MutationProfile::similar(),
-            },
-            42,
-        );
-        let serial = heuristic_align(&s, &t, &SC, &params());
-        for threads in [1, 2, 4] {
-            let wave = heuristic_antidiagonal_rayon(&s, &t, &SC, &params(), threads);
-            assert_eq!(wave.regions, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn antidiagonal_degenerate_inputs() {
-        for (s, t) in [(&b""[..], &b"ACGT"[..]), (b"ACGT", b""), (b"A", b"A")] {
-            let serial = heuristic_align(s, t, &SC, &params());
-            let wave = heuristic_antidiagonal_rayon(s, t, &SC, &params(), 2);
-            assert_eq!(wave.regions, serial);
-        }
-    }
-
-    #[test]
-    fn shm_band_scorer_matches_the_oracle() {
-        use genomedsm_core::linear::sw_score_linear;
-        let (s, t, _) = planted_pair(
-            500,
-            460,
-            &HomologyPlan {
-                region_count: 3,
-                region_len_mean: 80,
-                region_len_jitter: 20,
-                profile: MutationProfile::similar(),
-            },
-            43,
-        );
-        let threshold = 14;
-        let oracle = sw_score_linear(&s, &t, &SC, threshold);
-        for choice in [KernelChoice::Scalar, KernelChoice::Simd, KernelChoice::Auto] {
-            for nprocs in [1, 2, 4] {
-                let out = score_bands_shm(&s, &t, &SC, threshold, choice, nprocs, 7);
-                assert_eq!(out.best_score, oracle.best_score, "{choice:?} p={nprocs}");
-                assert_eq!(out.hits, oracle.hits, "{choice:?} p={nprocs}");
-            }
-        }
-    }
-
-    #[test]
-    fn shm_band_scorer_degenerate_inputs() {
-        use genomedsm_core::linear::sw_score_linear;
-        for (s, t) in [(&b""[..], &b"ACGT"[..]), (b"ACGT", b""), (b"A", b"A")] {
-            let oracle = sw_score_linear(s, t, &SC, 1);
-            let out = score_bands_shm(s, t, &SC, 1, KernelChoice::Auto, 2, 3);
-            assert_eq!(out.best_score, oracle.best_score);
-            assert_eq!(out.hits, oracle.hits);
-        }
     }
 
     #[test]
